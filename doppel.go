@@ -164,11 +164,19 @@ type request struct {
 	ctx    context.Context // nil means not cancellable (Exec, ExecAsync)
 }
 
+// asyncRequests pools ExecAsync's requests. Only those are recycled:
+// an ExecContext caller that gives up on cancellation abandons its
+// request while a worker may still hold it.
+var asyncRequests = sync.Pool{New: func() any { return new(request) }}
+
 // finish reports the request's outcome through whichever completion
-// mechanism the submitter chose.
+// mechanism the submitter chose. It is the worker's last use of req: an
+// ExecAsync request goes back to the pool before its callback runs.
 func (req *request) finish(err error) {
-	if req.cb != nil {
-		req.cb(err)
+	if cb := req.cb; cb != nil {
+		*req = request{}
+		asyncRequests.Put(req)
+		cb(err)
 		return
 	}
 	req.done <- err
@@ -580,13 +588,17 @@ func (db *DB) ExecContext(ctx context.Context, fn TxFunc) error {
 // goroutine that completed it. done must be quick and must not submit
 // further transactions synchronously, or it stalls that worker. This is
 // the batching path the network server uses to keep every worker busy
-// without one blocked goroutine per in-flight request.
+// without one blocked goroutine per in-flight request; it allocates
+// nothing of its own in steady state.
+//
+//doppel:hotpath
 func (db *DB) ExecAsync(fn TxFunc, done func(error)) {
 	if db.stopped.Load() {
 		done(ErrClosed)
 		return
 	}
-	req := &request{fn: fn, submit: time.Now().UnixNano(), cb: done}
+	req := asyncRequests.Get().(*request)
+	req.fn, req.submit, req.cb = fn, time.Now().UnixNano(), done
 	w := int(db.next.Add(1)) % len(db.queues)
 	db.queues[w] <- req
 }

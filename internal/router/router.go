@@ -175,18 +175,12 @@ func (r *Router) ExecContext(ctx context.Context, fn engine.TxFunc) error {
 func (r *Router) ExecAsync(fn engine.TxFunc, done func(error)) {
 	rc := r.calls.Get().(*routedCall)
 	shard := rc.route(fn)
-	r.shards[shard].ExecAsync(rc.run, func(err error) {
-		foreign := rc.check.foreign
-		rc.release()
-		switch {
-		case err == nil && !foreign:
-			r.stats.SingleShard.Add(1)
-			done(nil)
-		case errors.Is(err, errCrossShard) || foreign:
-			r.stats.Reroutes.Add(1)
-			go func() { done(r.execCross(context.Background(), fn)) }()
-		default:
-			done(err)
-		}
-	})
+	rc.done = done
+	r.shards[shard].ExecAsync(rc.run, rc.complete)
+}
+
+// execCrossAsync runs fn through the cross-shard protocol and reports
+// the outcome to done.
+func (r *Router) execCrossAsync(fn engine.TxFunc, done func(error)) {
+	done(r.execCross(context.Background(), fn))
 }

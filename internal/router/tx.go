@@ -7,10 +7,10 @@ import (
 	"doppel/internal/store"
 )
 
-// routedCall is the pooled per-transaction routing frame. Its run
-// closure and checkTx are built once, when the frame is first pooled,
-// so the single-shard fast path performs no allocation per transaction:
-// route() only rewrites fields of an existing frame.
+// routedCall is the pooled per-transaction routing frame. Its run and
+// complete closures and checkTx are built once, when the frame is first
+// pooled, so the single-shard fast path performs no allocation per
+// transaction: route() only rewrites fields of an existing frame.
 //
 // Ownership: between route() and the shard's completion callback the
 // executing worker may read and write the frame (through run/check), so
@@ -24,6 +24,9 @@ type routedCall struct {
 	probe probeTx
 	check checkTx
 	run   engine.TxFunc
+
+	done     func(error) // ExecAsync's caller callback
+	complete func(error) // rc.finishAsync, bound once
 }
 
 func newRoutedCall(r *Router) *routedCall {
@@ -36,7 +39,29 @@ func newRoutedCall(r *Router) *routedCall {
 		}
 		return err
 	}
+	rc.complete = rc.finishAsync
 	return rc
+}
+
+// finishAsync is the shard completion callback of Router.ExecAsync: it
+// releases the frame and reports the outcome, re-executing a body that
+// turned out to span shards through the cross-shard protocol on a fresh
+// goroutine, so the shard worker that detected it is never captured.
+//
+//doppel:hotpath
+func (rc *routedCall) finishAsync(err error) {
+	r, fn, done, foreign := rc.r, rc.fn, rc.done, rc.check.foreign
+	rc.release()
+	switch {
+	case err == nil && !foreign:
+		r.stats.SingleShard.Add(1)
+		done(nil)
+	case errors.Is(err, errCrossShard) || foreign:
+		r.stats.Reroutes.Add(1)
+		go r.execCrossAsync(fn, done)
+	default:
+		done(err)
+	}
 }
 
 // route binds fn to the frame and picks its candidate shard from the
@@ -57,7 +82,7 @@ func (rc *routedCall) route(fn engine.TxFunc) int {
 }
 
 func (rc *routedCall) release() {
-	rc.fn = nil
+	rc.fn, rc.done = nil, nil
 	rc.check.inner = nil
 	rc.r.calls.Put(rc)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -49,13 +48,15 @@ type Client struct {
 	fw       *frameWriter
 	maxFrame int
 
+	// mu is held across encoding a request into fw's batch buffer, so
+	// a request is either in the batch or failed before teardown (which
+	// sets err under mu) can close the writer.
 	mu      sync.Mutex
 	pending map[uint64]*Call
 	nextID  uint64
 	err     error // sticky connection error; nil while usable
 
-	sendWG   sync.WaitGroup // in-progress fw.send calls
-	stopOnce sync.Once      // tears down the frame writer exactly once
+	stopOnce sync.Once // tears down the frame writer exactly once
 }
 
 // Dial connects to a server with default tuning.
@@ -78,7 +79,7 @@ func NewClient(conn net.Conn, opts Options) *Client {
 	opts = opts.withDefaults()
 	c := &Client{
 		conn:     conn,
-		fw:       startFrameWriter(conn, opts.FlushEvery),
+		fw:       startFrameWriter(conn, frameWriterConfig{flushEvery: opts.FlushEvery}),
 		maxFrame: opts.MaxFrame,
 		pending:  map[uint64]*Call{},
 	}
@@ -132,25 +133,29 @@ func (c *Client) issue(name string, args []Arg, done chan *Call, explicit bool, 
 		c.nextID++
 	}
 	call.id = id
-	req := encodeRequest(id, name, args)
-	if len(req) > c.maxFrame {
-		// Fail just this call; sending it would make the server drop the
-		// whole connection (and a frame over 4 GiB would wrap the length
-		// header and desync the stream).
-		c.mu.Unlock()
-		call.Err = &FrameSizeError{Size: len(req), Limit: c.maxFrame}
-		call.finish()
-		return call
+	buf, sent := c.fw.begin()
+	if sent {
+		start := len(buf)
+		buf = appendRequest(buf, id, name, args)
+		if size := len(buf) - start; size > c.maxFrame {
+			// Fail just this call; sending it would make the server drop
+			// the whole connection (and a frame over 4 GiB would wrap the
+			// length header and desync the stream).
+			c.fw.cancel()
+			c.mu.Unlock()
+			call.Err = &FrameSizeError{Size: size, Limit: c.maxFrame}
+			call.finish()
+			return call
+		}
+		c.fw.end(buf)
 	}
 	c.pending[id] = call
-	c.sendWG.Add(1) // under mu: teardown sets c.err first, so no send starts after stop
 	c.mu.Unlock()
-	if !c.fw.send(req) {
+	if !sent {
 		// The server stopped draining requests; tear the connection
 		// down, which fails this call (and the rest) via the read loop.
 		_ = c.conn.Close()
 	}
-	c.sendWG.Done()
 	return call
 }
 
@@ -190,10 +195,10 @@ func (c *Client) Err() error {
 // readLoop matches responses to pending calls until the connection
 // dies, then fails everything still outstanding.
 func (c *Client) readLoop(maxFrame int) {
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+	fr := newFrameReader(c.conn, maxFrame)
 	var wireErr error
 	for {
-		payload, err := readFrame(br, maxFrame)
+		payload, err := fr.next()
 		if err != nil {
 			wireErr = err
 			break
@@ -231,14 +236,10 @@ func (c *Client) readLoop(maxFrame int) {
 	c.stop()
 }
 
-// stop shuts the frame writer down once no send can still be in
-// flight. Callers must have set c.err first so new Go calls fail fast
-// instead of sending.
+// stop shuts the frame writer down. Callers must have set c.err first
+// so new Go calls fail fast instead of sending.
 func (c *Client) stop() {
-	c.stopOnce.Do(func() {
-		c.sendWG.Wait()
-		c.fw.close()
-	})
+	c.stopOnce.Do(c.fw.close)
 }
 
 // Close tears down the connection. Calls still in flight fail with

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,10 @@ import (
 
 // Handler executes one named procedure inside a transaction. The
 // returned Arg is sent back to the client on commit; return Nil for
-// void procedures.
+// void procedures. The args slice is reused for a later request once
+// the transaction completes, so a handler must not retain it; the byte
+// strings in it are private copies the handler may keep (tx.PutBytes
+// stores them by reference).
 type Handler func(tx doppel.Tx, args []Arg) (Arg, error)
 
 // Backend is the database surface the server drives. Both *doppel.DB
@@ -81,6 +83,7 @@ type Server struct {
 
 	inflight chan struct{} // global transactional budget; nil = unbounded
 	sheds    atomic.Uint64
+	requests sync.Pool // *request frames, shared by every connection
 
 	sessMu    sync.Mutex
 	sessions  map[string]*session
@@ -119,6 +122,7 @@ func NewWithOptions(db Backend, opts Options) *Server {
 	if opts.MaxServerInFlight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxServerInFlight)
 	}
+	s.requests.New = func() any { return newRequest() }
 	return s
 }
 
@@ -218,164 +222,285 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serverConn is one client connection's serving state, shared by its
+// read loop and the completion callbacks of its in-flight requests.
+type serverConn struct {
+	s    *Server
+	nc   net.Conn
+	fw   *frameWriter
+	sem  chan struct{} // bounds in-flight requests (Options.MaxInFlight)
+	reqs sync.WaitGroup
+
+	// sendCached delivers a session's cached response to this
+	// connection; bound once so parking a duplicate allocates no
+	// closure of its own.
+	sendCached func([]byte)
+}
+
+// request is one pooled transactional request. The read loop decodes a
+// frame into it and hands it to the database; its body and completion
+// callback are built once, when the frame is first pooled, so the
+// dispatch path allocates nothing per request. Between dispatch and the
+// completion callback the frame belongs to the executing worker; the
+// callback releases it to the pool as its last step.
+type request struct {
+	c      *serverConn
+	sess   *session // dedup session the response completes, or nil
+	h      Handler
+	id     uint64
+	args   []Arg
+	result Arg
+	start  time.Time
+	body   doppel.TxFunc
+	done   func(error)
+}
+
+func newRequest() *request {
+	r := &request{}
+	r.body = func(tx doppel.Tx) error {
+		var err error
+		r.result, err = r.h(tx, r.args)
+		return err
+	}
+	r.done = r.complete
+	return r
+}
+
+// maxRetainedArgs bounds the argument slice a pooled request keeps; a
+// request with more arguments leaves its slice to the GC.
+const maxRetainedArgs = 64
+
+// release returns the frame to the pool, dropping its references to
+// the handler's byte strings and result.
+func (r *request) release(s *Server) {
+	clear(r.args)
+	r.args = r.args[:0]
+	if cap(r.args) > maxRetainedArgs {
+		r.args = nil
+	}
+	r.c, r.sess, r.h, r.result = nil, nil, nil, Nil
+	s.requests.Put(r)
+}
+
+// exec hands a decoded request to the database. It blocks while the
+// connection is at MaxInFlight.
+//
+//doppel:hotpath
+func (c *serverConn) exec(r *request) {
+	c.sem <- struct{}{}
+	c.reqs.Add(1)
+	r.start = time.Now()
+	c.s.db.ExecAsync(r.body, r.done)
+}
+
+// complete is a request's completion callback, run on the database
+// worker that finished it: it records the latency, encodes the response
+// into the connection's batch buffer (or the session cache), and
+// releases the frame and its budget slots.
+//
+//doppel:hotpath
+func (r *request) complete(err error) {
+	c, s := r.c, r.c.s
+	s.stats.Record(time.Since(r.start).Nanoseconds(), err == nil)
+	c.deliver(r.sess, r.id, r.result, err)
+	if s.inflight != nil {
+		<-s.inflight
+	}
+	r.release(s)
+	<-c.sem
+	c.reqs.Done()
+}
+
+// deliver routes one completed response: through the session (which
+// caches a private copy and notifies every parked duplicate, including
+// this connection) or straight into the batch buffer. A refused send
+// means the client stopped draining responses; drop it rather than
+// stall a database worker shared by every client.
+//
+//doppel:hotpath
+func (c *serverConn) deliver(sess *session, id uint64, result Arg, err error) {
+	if sess != nil {
+		sess.complete(id, c.s.appendResult(nil, id, result, err))
+		return
+	}
+	if !c.reply(id, result, err) {
+		_ = c.nc.Close()
+	}
+}
+
+// reply encodes one response straight into the connection's batch
+// buffer. False means the writer refused it.
+//
+//doppel:hotpath
+func (c *serverConn) reply(id uint64, result Arg, err error) bool {
+	buf, ok := c.fw.begin()
+	if !ok {
+		return false
+	}
+	c.fw.end(c.s.appendResult(buf, id, result, err))
+	return true
+}
+
+// replyErr encodes an error response the read loop answers itself.
+func (c *serverConn) replyErr(id uint64, status byte, msg string) bool {
+	buf, ok := c.fw.begin()
+	if !ok {
+		return false
+	}
+	c.fw.end(appendErrResponse(buf, id, status, msg))
+	return true
+}
+
 // serveConn pumps one client connection: the read loop decodes requests
-// and fans each straight into the database's worker pool via ExecAsync
-// (no goroutine per request), while a frameWriter streams completions
-// back as transactions commit — possibly out of request order. sem
-// bounds in-flight requests per connection; response sends never block,
-// so a completion callback can never stall a database worker on a slow
-// client.
-func (s *Server) serveConn(conn net.Conn) {
-	fw := startFrameWriterCfg(conn, frameWriterConfig{
+// into pooled frames and fans each straight into the database's worker
+// pool via ExecAsync (no goroutine per request), while a frameWriter
+// streams completions back as transactions commit — possibly out of
+// request order. sem bounds in-flight requests per connection; response
+// sends never block, so a completion callback can never stall a
+// database worker on a slow client.
+func (s *Server) serveConn(nc net.Conn) {
+	c := &serverConn{s: s, nc: nc, sem: make(chan struct{}, s.opts.MaxInFlight)}
+	c.fw = startFrameWriter(nc, frameWriterConfig{
 		flushEvery:   s.opts.FlushEvery,
-		conn:         conn,
+		conn:         nc,
 		writeTimeout: s.opts.WriteTimeout,
 		// A write timeout or broken pipe means the peer is gone; close so
 		// the read loop below stops serving it.
-		onBroken: func() { _ = conn.Close() },
+		onBroken: func() { _ = nc.Close() },
 	})
-	sem := make(chan struct{}, s.opts.MaxInFlight)
-	var reqWG sync.WaitGroup
+	c.sendCached = func(resp []byte) {
+		if !c.fw.send(resp) {
+			_ = nc.Close()
+		}
+	}
 	var sess *session
-	br := bufio.NewReaderSize(conn, 64<<10)
+	fr := newFrameReader(nc, s.opts.MaxFrame)
+	r := s.requests.Get().(*request)
 	for {
 		if s.closed.Load() {
 			break // draining: stop decoding, flush what's in flight
 		}
 		if t := s.opts.ReadTimeout; t > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(t))
+			_ = nc.SetReadDeadline(time.Now().Add(t))
 		}
-		payload, err := readFrame(br, s.opts.MaxFrame)
+		payload, err := fr.next()
 		if err != nil {
 			break // EOF, peer reset, stall, or oversized frame: drop the connection
 		}
-		id, name, args, err := decodeRequest(payload)
+		id, name, args, err := decodeRequest(payload, r.args[:0])
+		r.args = args
 		if err != nil {
 			break // corrupt stream: nothing after this point can be trusted
 		}
-		if name == sessionProc {
+		if string(name) == sessionProc {
 			token := ""
 			if len(args) > 0 {
 				token = string(args[0].Bytes())
 			}
 			sess = s.session(token)
-			if !fw.send(encodeOKResponse(id, Nil)) {
+			if !c.reply(id, Nil, nil) {
 				break
 			}
 			continue
 		}
 		s.mu.RLock()
-		d := s.directs[name]
+		d := s.directs[string(name)]
 		var h Handler
 		if d == nil {
-			h = s.handlers[name]
+			h = s.handlers[string(name)]
 		}
 		s.mu.RUnlock()
 		if d == nil && h == nil {
 			s.stats.RecordError()
-			if !fw.send(encodeErrResponse(id, statusUnknownProc, name)) {
+			if !c.replyErr(id, statusUnknownProc, string(name)) {
 				break
 			}
 			continue
 		}
 		if sess != nil {
-			resp, dup := sess.claim(id, func(resp []byte) {
-				if !fw.send(resp) {
-					_ = conn.Close()
-				}
-			})
+			resp, dup := sess.claim(id, c.sendCached)
 			if dup {
 				// Replay the cached response, or — resp nil — stay parked
 				// until the in-flight original completes.
-				if resp != nil && !fw.send(resp) {
+				if resp != nil && !c.fw.send(resp) {
 					break
 				}
 				continue
 			}
 		}
 		if d != nil {
-			sem <- struct{}{}
-			reqWG.Add(1)
-			go func() {
-				defer reqWG.Done()
-				start := time.Now()
-				result, derr := d(args)
-				s.stats.Record(time.Since(start).Nanoseconds(), derr == nil)
-				s.deliver(sess, fw, conn, id, s.encodeResult(id, result, derr))
-				<-sem
-			}()
+			s.runDirect(c, sess, id, d, append([]Arg(nil), args...))
 			continue
 		}
-		if s.inflight != nil {
-			select {
-			case s.inflight <- struct{}{}:
-			default:
-				// Shed: answer ErrOverloaded now instead of queueing behind
-				// saturated workers. Never cache the rejection — the
-				// retry must re-execute.
-				s.sheds.Add(1)
-				s.stats.RecordError()
-				if sess != nil {
-					sess.abandon(id)
-				}
-				if !fw.send(encodeErrResponse(id, statusErrOverloaded, doppel.ErrOverloaded.Error())) {
-					break
-				}
-				continue
+		if !s.admit() {
+			// Shed: answer ErrOverloaded now instead of queueing behind
+			// saturated workers. Never cache the rejection — the retry
+			// must re-execute.
+			s.sheds.Add(1)
+			s.stats.RecordError()
+			if sess != nil {
+				sess.abandon(id)
 			}
+			if !c.replyErr(id, statusErrOverloaded, doppel.ErrOverloaded.Error()) {
+				break
+			}
+			continue
 		}
-		sem <- struct{}{} // bounds in-flight executions for this connection
-		reqWG.Add(1)
+		r.c, r.sess, r.h, r.id = c, sess, h, id
+		c.exec(r)
+		r = s.requests.Get().(*request)
+	}
+	r.release(s)
+	c.reqs.Wait()
+	c.fw.close()
+}
+
+// admit takes a slot of the MaxServerInFlight budget, or reports that
+// the request must be shed. The completion callback returns the slot.
+func (s *Server) admit() bool {
+	if s.inflight == nil {
+		return true
+	}
+	select {
+	case s.inflight <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// runDirect runs a direct handler on its own goroutine. args is the
+// handler's own copy: the read loop reuses its decode buffers for the
+// next request while the handler runs.
+func (s *Server) runDirect(c *serverConn, sess *session, id uint64, d DirectHandler, args []Arg) {
+	c.sem <- struct{}{}
+	c.reqs.Add(1)
+	go func() {
+		defer c.reqs.Done()
 		start := time.Now()
-		var result Arg
-		s.db.ExecAsync(func(tx doppel.Tx) error {
-			var herr error
-			result, herr = h(tx, args)
-			return herr
-		}, func(err error) {
-			s.stats.Record(time.Since(start).Nanoseconds(), err == nil)
-			s.deliver(sess, fw, conn, id, s.encodeResult(id, result, err))
-			if s.inflight != nil {
-				<-s.inflight
-			}
-			<-sem
-			reqWG.Done()
-		})
-	}
-	reqWG.Wait()
-	fw.close()
+		result, err := d(args)
+		s.stats.Record(time.Since(start).Nanoseconds(), err == nil)
+		c.deliver(sess, id, result, err)
+		<-c.sem
+	}()
 }
 
-// deliver routes one completed response: through the session (which
-// caches it and notifies every parked duplicate, including this
-// connection) or straight to the frame writer. A send failure means the
-// client stopped draining responses; drop it rather than stall a
-// database worker shared by every client.
-func (s *Server) deliver(sess *session, fw *frameWriter, conn net.Conn, id uint64, resp []byte) {
-	if sess != nil {
-		sess.complete(id, resp)
-		return
-	}
-	if !fw.send(resp) {
-		_ = conn.Close()
-	}
-}
-
-// encodeResult encodes one completed request's response, downgrading
-// results too large for the connection's frame limit to an error. The
-// downgrade message states that the transaction committed: the client
-// must not treat it as a safe-to-retry failure.
-func (s *Server) encodeResult(id uint64, result Arg, err error) []byte {
+// appendResult appends one completed request's response to buf,
+// downgrading results too large for the connection's frame limit to an
+// error. The downgrade message states that the transaction committed:
+// the client must not treat it as a safe-to-retry failure.
+func (s *Server) appendResult(buf []byte, id uint64, result Arg, err error) []byte {
 	if err != nil {
-		return encodeErrResponse(id, statusForError(err), err.Error())
+		return appendErrResponse(buf, id, statusForError(err), err.Error())
 	}
-	resp := encodeOKResponse(id, result)
-	if len(resp) > s.opts.MaxFrame {
+	start := len(buf)
+	buf = appendOKResponse(buf, id, result)
+	if size := len(buf) - start; size > s.opts.MaxFrame {
 		msg := "transaction committed but result dropped: " +
-			(&FrameSizeError{Size: len(resp), Limit: s.opts.MaxFrame}).Error()
-		return encodeErrResponse(id, statusErr, msg)
+			(&FrameSizeError{Size: size, Limit: s.opts.MaxFrame}).Error()
+		return appendErrResponse(buf[:start], id, statusErr, msg)
 	}
-	return resp
+	return buf
 }
 
 // Close stops accepting, closes open connections, and waits for

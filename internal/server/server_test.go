@@ -226,7 +226,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 
 	// The client side enforces the same bound on responses.
 	t.Run("client", func(t *testing.T) {
-		if _, err := readFrame(readerOf(t, 1<<31), 4096); err == nil {
+		if _, err := newFrameReader(readerOf(t, 1<<31), 4096).next(); err == nil {
 			t.Fatal("oversized frame accepted")
 		} else {
 			var fse *FrameSizeError
@@ -347,8 +347,8 @@ func TestOversizedRequestFailsCall(t *testing.T) {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	id, name, args, err := decodeRequest(encodeRequest(42, "proc", []Arg{Str("a"), Str(""), Int(-7), Bytes([]byte{1, 2}), Nil}))
-	if err != nil || id != 42 || name != "proc" || len(args) != 5 {
+	id, name, args, err := decodeRequest(appendRequest(nil, 42, "proc", []Arg{Str("a"), Str(""), Int(-7), Bytes([]byte{1, 2}), Nil}), nil)
+	if err != nil || id != 42 || string(name) != "proc" || len(args) != 5 {
 		t.Fatalf("%d %q %v %v", id, name, args, err)
 	}
 	if n, _ := args[2].Int64(); n != -7 {
@@ -358,24 +358,24 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("args = %v", args)
 	}
 
-	rid, res, callErr, wireErr := decodeResponse(encodeOKResponse(9, Int(3)))
+	rid, res, callErr, wireErr := decodeResponse(appendOKResponse(nil, 9, Int(3)))
 	if wireErr != nil || callErr != nil || rid != 9 {
 		t.Fatalf("%d %v %v %v", rid, res, callErr, wireErr)
 	}
 	if n, _ := res.Int64(); n != 3 {
 		t.Fatalf("res = %v", res)
 	}
-	rid, _, callErr, wireErr = decodeResponse(encodeErrResponse(10, statusErr, "bad"))
+	rid, _, callErr, wireErr = decodeResponse(appendErrResponse(nil, 10, statusErr, "bad"))
 	if wireErr != nil || rid != 10 || callErr == nil || callErr.Error() != "bad" {
 		t.Fatalf("%d %v %v", rid, callErr, wireErr)
 	}
-	rid, _, callErr, wireErr = decodeResponse(encodeErrResponse(11, statusUnknownProc, "p"))
+	rid, _, callErr, wireErr = decodeResponse(appendErrResponse(nil, 11, statusUnknownProc, "p"))
 	var unknown *UnknownProcedureError
 	if wireErr != nil || rid != 11 || !errors.As(callErr, &unknown) {
 		t.Fatalf("%d %v %v", rid, callErr, wireErr)
 	}
 
-	if _, _, _, err := decodeRequest([]byte{0}); err == nil {
+	if _, _, _, err := decodeRequest([]byte{0}, nil); err == nil {
 		t.Fatal("truncated request should fail")
 	}
 	if _, _, _, wireErr := decodeResponse(nil); wireErr == nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -152,6 +153,10 @@ func (a Arg) Kind() ArgKind { return a.kind }
 // IsNil reports whether the Arg is absent.
 func (a Arg) IsNil() bool { return a.kind == ArgNil }
 
+// errNilInt is Int64's failure on a Nil Arg, shared so that reading a
+// void reply allocates nothing.
+var errNilInt = errors.New("server: nil argument where integer expected")
+
 // Int64 returns the Arg as an int64. Byte-string args are parsed as
 // decimal, so text-oriented clients (the CLI) interoperate with integer
 // procedures.
@@ -162,7 +167,7 @@ func (a Arg) Int64() (int64, error) {
 	case ArgBytes:
 		return strconv.ParseInt(string(a.b), 10, 64)
 	default:
-		return 0, errors.New("server: nil argument where integer expected")
+		return 0, errNilInt
 	}
 }
 
@@ -207,33 +212,46 @@ func (e *FrameSizeError) Error() string {
 
 // --- framing ---
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameReader reads length-prefixed frames into one reused buffer, so a
+// connection's read side allocates nothing per frame once the buffer
+// has grown to its largest frame.
+type frameReader struct {
+	r        *bufio.Reader
+	maxFrame int
+	hdr      [4]byte
+	buf      []byte
 }
 
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func newFrameReader(r io.Reader, maxFrame int) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 64<<10), maxFrame: maxFrame}
+}
+
+// next returns the next frame's payload. The payload aliases the
+// reader's buffer: it is valid only until the following call, so
+// decoders copy out whatever outlives the frame.
+func (fr *frameReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if int64(n) > int64(maxFrame) {
-		return nil, &FrameSizeError{Size: int(n), Limit: maxFrame}
+	n := binary.BigEndian.Uint32(fr.hdr[:])
+	if int64(n) > int64(fr.maxFrame) {
+		return nil, &FrameSizeError{Size: int(n), Limit: fr.maxFrame}
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(fr.buf)) < n {
+		fr.buf = make([]byte, n)
+	}
+	payload := fr.buf[:n]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil
 }
 
 // --- payload encoding ---
+//
+// Every message kind has one append-style encoder, used both to encode
+// straight into a connection's batch buffer (frameWriter.begin/end) and,
+// where a message must outlive the batch, into a private slice.
 
 func appendArg(buf []byte, a Arg) []byte {
 	switch a.kind {
@@ -249,6 +267,9 @@ func appendArg(buf []byte, a Arg) []byte {
 	}
 }
 
+// readArg decodes one argument. A byte-string payload is copied out of
+// buf: the caller owns it (a handler may store it with tx.PutBytes), so
+// it must never alias a reused read buffer.
 func readArg(buf []byte) (Arg, []byte, error) {
 	if len(buf) < 1 {
 		return Nil, nil, errors.New("server: truncated argument tag")
@@ -278,8 +299,8 @@ func readArg(buf []byte) (Arg, []byte, error) {
 	}
 }
 
-func encodeRequest(id uint64, name string, args []Arg) []byte {
-	buf := binary.AppendUvarint(nil, id)
+func appendRequest(buf []byte, id uint64, name string, args []Arg) []byte {
+	buf = binary.AppendUvarint(buf, id)
 	buf = binary.AppendUvarint(buf, uint64(len(name)))
 	buf = append(buf, name...)
 	buf = binary.AppendUvarint(buf, uint64(len(args)))
@@ -289,47 +310,61 @@ func encodeRequest(id uint64, name string, args []Arg) []byte {
 	return buf
 }
 
-func decodeRequest(buf []byte) (id uint64, name string, args []Arg, err error) {
+// Request decode failures. They are shared values so the annotated
+// decoder below has no allocation even on its error paths.
+var (
+	errTruncatedID   = errors.New("server: truncated request ID")
+	errTruncatedName = errors.New("server: truncated procedure name")
+	errTruncatedArgc = errors.New("server: truncated arg count")
+	errTooManyArgs   = fmt.Errorf("server: request exceeds %d args", maxArgs)
+)
+
+// decodeRequest parses a request payload. name aliases buf, so it is
+// valid only as long as the frame is; the decoded args are appended to
+// args, reusing its capacity, and own their byte strings.
+//
+//doppel:hotpath
+func decodeRequest(buf []byte, args []Arg) (id uint64, name []byte, _ []Arg, err error) {
 	id, w := binary.Uvarint(buf)
 	if w <= 0 {
-		return 0, "", nil, errors.New("server: truncated request ID")
+		return 0, nil, args, errTruncatedID
 	}
 	buf = buf[w:]
 	nl, w := binary.Uvarint(buf)
 	if w <= 0 || nl > uint64(len(buf)-w) {
-		return 0, "", nil, errors.New("server: truncated procedure name")
+		return 0, nil, args, errTruncatedName
 	}
 	buf = buf[w:]
-	name = string(buf[:nl])
+	name = buf[:nl:nl]
 	buf = buf[nl:]
 	argc, w := binary.Uvarint(buf)
 	if w <= 0 {
-		return 0, "", nil, errors.New("server: truncated arg count")
+		return 0, nil, args, errTruncatedArgc
 	}
 	if argc > maxArgs {
-		return 0, "", nil, fmt.Errorf("server: %d args exceeds limit %d", argc, maxArgs)
+		return 0, nil, args, errTooManyArgs
 	}
 	buf = buf[w:]
-	args = make([]Arg, 0, argc)
 	for i := uint64(0); i < argc; i++ {
 		var a Arg
 		a, buf, err = readArg(buf)
 		if err != nil {
-			return 0, "", nil, err
+			return 0, nil, args, err
 		}
 		args = append(args, a)
 	}
 	return id, name, args, nil
 }
 
-func encodeOKResponse(id uint64, result Arg) []byte {
-	buf := binary.AppendUvarint(nil, id)
+//doppel:hotpath
+func appendOKResponse(buf []byte, id uint64, result Arg) []byte {
+	buf = binary.AppendUvarint(buf, id)
 	buf = append(buf, statusOK)
 	return appendArg(buf, result)
 }
 
-func encodeErrResponse(id uint64, status byte, msg string) []byte {
-	buf := binary.AppendUvarint(nil, id)
+func appendErrResponse(buf []byte, id uint64, status byte, msg string) []byte {
+	buf = binary.AppendUvarint(buf, id)
 	buf = append(buf, status)
 	buf = binary.AppendUvarint(buf, uint64(len(msg)))
 	return append(buf, msg...)
