@@ -213,6 +213,8 @@ func (b shardBackend) Store() *store.Store { return b.db.eng.Store() }
 
 func (b shardBackend) SplitActive(key string) bool { return b.db.eng.SplitActive(key) }
 
+func (b shardBackend) WakeAll() { b.db.eng.WakeAll() }
+
 // Exec runs fn as a transaction over the cluster's whole keyspace and
 // returns once it has committed; semantics match DB.Exec, plus routing.
 // Exec is exactly ExecContext(context.Background(), fn).

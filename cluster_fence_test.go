@@ -1,6 +1,7 @@
 package doppel
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -8,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"doppel/internal/engine"
 )
 
 // fenceStress races single-shard read-modify-write incrementers against
@@ -301,5 +304,110 @@ func TestStatsFenceCounters(t *testing.T) {
 	t.Logf("fence aborts across shards: %d; fenced keys: %d", aborts, stats.Router.FencedKeys)
 	if !strings.Contains(fmt.Sprintf("%+v", stats.Router), "FencedKeys") {
 		t.Error("RouterStats does not expose FencedKeys")
+	}
+}
+
+// TestClusterFenceParkedRequestRetriedOnUnfence: a single-shard request
+// that aborts on a cross-shard commit's fence parks at once — it is not
+// retried while the fence stands — and completes after the router
+// releases the fence and wakes the shard's workers.
+func TestClusterFenceParkedRequestRetriedOnUnfence(t *testing.T) {
+	cl, err := OpenCluster(ClusterOptions{Shards: 2, DB: Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// a lives on shard sa, b on the other shard, sb.
+	a := "park-a"
+	sa := cl.ShardOf(a)
+	b := ""
+	for i := 0; b == ""; i++ {
+		if k := fmt.Sprintf("park-b-%d", i); cl.ShardOf(k) != sa {
+			b = k
+		}
+	}
+	sb := cl.ShardOf(b)
+
+	// The cross-shard commit's gather is the only run of its body in
+	// which both Adds succeed. At its end, occupy sb's only worker, so
+	// the commit fences a and b and then waits for its apply on sb.
+	gate := make(chan struct{})
+	var hold sync.Once
+	cross := make(chan error, 1)
+	go func() {
+		cross <- cl.Exec(func(tx Tx) error {
+			if err := tx.Add(a, 1); err != nil {
+				return err
+			}
+			if err := tx.Add(b, 1); err != nil {
+				return err
+			}
+			hold.Do(func() {
+				cl.DB(sb).ExecAsync(func(Tx) error { <-gate; return nil }, func(error) {})
+			})
+			return nil
+		})
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if rec := cl.DB(sa).Internal().Store().Get(a); rec != nil && rec.FenceToken() != 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the cross-shard commit never fenced its keys")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// A single-shard Add of a now aborts on the fence and parks.
+	var fenced atomic.Int32
+	single := make(chan error, 1)
+	go func() {
+		single <- cl.Exec(func(tx Tx) error {
+			err := tx.Add(a, 10)
+			if errors.Is(err, engine.ErrFenced) {
+				fenced.Add(1)
+			}
+			return err
+		})
+	}()
+	for fenced.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the single-shard Add never met the fence")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-single:
+		t.Fatalf("the Add finished (%v) while its key was fenced", err)
+	default:
+	}
+	if n := fenced.Load(); n != 1 {
+		t.Fatalf("the parked Add ran %d times against the fence, want 1", n)
+	}
+
+	close(gate)
+	for _, ch := range []chan error{cross, single} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a transaction never completed after the fence was released")
+		}
+	}
+	if err := cl.Exec(func(tx Tx) error {
+		n, err := tx.GetInt(a)
+		if err != nil {
+			return err
+		}
+		if n != 11 {
+			return fmt.Errorf("%s = %d, want 11", a, n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -30,6 +30,7 @@ package doppel
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,6 +149,10 @@ type DB struct {
 	wg          sync.WaitGroup
 	stopped     atomic.Bool
 	next        atomic.Uint64
+	// draining counts workers still finishing their parked and stashed
+	// requests after Close; the last one closes drained.
+	draining atomic.Int32
+	drained  chan struct{}
 
 	scrubStop chan struct{}
 	scrubWG   sync.WaitGroup
@@ -270,7 +275,9 @@ func openInto(opts Options, st *store.Store) (*DB, error) {
 		walFailStop: cfg.WALFailStop,
 		syncCommit:  opts.SyncCommit && redo != nil,
 		queues:      make([]chan *request, workers),
+		drained:     make(chan struct{}),
 	}
+	db.draining.Store(int32(workers))
 	if redo != nil {
 		db.redoDir = opts.RedoLog
 		db.ckpt = checkpoint.New(db.eng, redo, checkpoint.Options{
@@ -291,123 +298,127 @@ func openInto(opts Options, st *store.Store) (*DB, error) {
 	return db, nil
 }
 
-// fenceSpinBudget bounds how long run retries a fence-aborted
-// transaction inline before parking it with the worker loop. Fences
-// release in microseconds — unless the releasing apply transaction is
-// queued behind this very request, which is why the budget must be
-// small and the request must come off the worker's critical path.
-const fenceSpinBudget = 100 * time.Microsecond
-
-// worker drives one engine worker: it executes submitted transactions,
-// retries conflict aborts with backoff, and polls the engine between
-// requests so phase transitions keep moving even when idle.
+// worker drives one engine worker. It blocks on exactly two events: a
+// request arriving in its queue, and a token in the engine's wake
+// channel for it (core.DB.Wake), which the engine leaves after every
+// phase-transition publish and completion and the cluster router leaves
+// after releasing commit fences. A wake makes the worker Poll —
+// acknowledging a transition, reconciling its slices, draining its
+// stash — and retry the requests it holds back. No timer drives it.
 //
-// Requests that keep aborting on a cross-shard commit fence are parked
-// in the deferred list rather than retried in place: the fence releases
-// only after the owning cross-shard commit's apply transactions run,
-// and one of those may be waiting in this worker's own queue — blocking
-// on the fence would deadlock the shard. While anything is parked the
-// worker drains its queue without blocking and retries the parked work
-// between requests.
+// It holds back two kinds of request. One that aborted on a cross-shard
+// commit fence is parked at once rather than retried in place: the
+// fence releases only after the owning cross-shard commit's apply
+// transactions run, and one of those may be waiting in this worker's
+// own queue, so blocking on the fence would deadlock the shard. One
+// whose transaction was stashed is acknowledged once the worker's stash
+// has drained.
 func (db *DB) worker(w int) {
 	defer db.wg.Done()
+	l := &workerLoop{db: db, w: w, wake: db.eng.Wake(w)}
 	q := db.queues[w]
-	idle := time.NewTicker(200 * time.Microsecond)
-	defer idle.Stop()
-	var (
-		deferred []*request // fence-parked, re-run between requests
-		stashed  []*request // in the engine stash, finish when it drains
-	)
 	for {
-		if len(deferred) > 0 || len(stashed) > 0 {
-			select {
-			case req, ok := <-q:
-				if !ok {
-					db.finishParked(w, deferred, stashed)
-					return
-				}
-				switch db.run(w, req) {
-				case runParked:
-					deferred = append(deferred, req)
-				case runStashed:
-					stashed = append(stashed, req)
-				}
-			default:
-				db.eng.Poll(w)
-				time.Sleep(20 * time.Microsecond)
-			}
-			keep := deferred[:0]
-			for _, req := range deferred {
-				switch db.run(w, req) {
-				case runParked:
-					keep = append(keep, req)
-				case runStashed:
-					stashed = append(stashed, req)
-				}
-			}
-			deferred = keep
-			// A drained stash means every stashed transaction replayed
-			// (the joined phase arrived and no fence re-stashed them), so
-			// their callers can be acknowledged.
-			if len(stashed) > 0 && db.eng.StashLen(w) == 0 {
-				for _, req := range stashed {
-					db.finishStashed(w, req)
-				}
-				stashed = nil
-			}
-			continue
-		}
 		select {
 		case req, ok := <-q:
 			if !ok {
+				l.finishParked()
 				return
 			}
-			switch db.run(w, req) {
-			case runParked:
-				deferred = append(deferred, req)
-			case runStashed:
-				stashed = append(stashed, req)
-			}
-		case <-idle.C:
+			l.handle(req)
+		case <-l.wake:
+			l.woke = true
 			db.eng.Poll(w)
+		}
+		l.settle()
+	}
+}
+
+// workerLoop is the state of one worker goroutine.
+type workerLoop struct {
+	db      *DB
+	w       int
+	wake    <-chan struct{}
+	woke    bool       // a wake was taken since parked requests were last retried
+	parked  []*request // aborted on a commit fence; retried after a wake
+	stashed []*request // in the engine's stash; acknowledged once it drains
+}
+
+// await blocks until the worker's next wake. Whoever waits, the parked
+// requests must be retried afterwards: the wake may have been the fence
+// release they wait for.
+func (l *workerLoop) await() {
+	<-l.wake
+	l.woke = true
+}
+
+// handle runs req and holds it back if it parked or stashed.
+func (l *workerLoop) handle(req *request) {
+	switch l.run(req) {
+	case runParked:
+		l.parked = append(l.parked, req)
+	case runStashed:
+		l.stashed = append(l.stashed, req)
+	}
+}
+
+// settle retries the parked requests if a wake was taken since they
+// last ran, and acknowledges the stashed requests once the stash has
+// drained (the joined phase arrived and no fence re-stashed them).
+func (l *workerLoop) settle() {
+	for l.woke {
+		l.woke = false
+		parked := l.parked
+		l.parked = nil
+		for _, req := range parked {
+			l.handle(req)
+		}
+	}
+	if len(l.stashed) > 0 && l.db.eng.StashLen(l.w) == 0 {
+		stashed := l.stashed
+		l.stashed = nil
+		for _, req := range stashed {
+			l.finishStashed(req)
 		}
 	}
 }
 
-// finishParked completes parked and stashed requests at shutdown. The
-// fences the parked requests wait on are released by cross-shard
-// applies draining on the other workers' queues (this worker's own
-// queue is already empty), or by the router's failure-path cleanup; the
-// stash drains when the still-running coordinator starts the next
-// joined phase — so both loops terminate.
-func (db *DB) finishParked(w int, deferred, stashed []*request) {
-	for _, req := range deferred {
-	retry:
-		for {
-			switch db.run(w, req) {
-			case runDone:
-				break retry
-			case runStashed:
-				stashed = append(stashed, req)
-				break retry
-			case runParked:
-				db.eng.Poll(w)
-				time.Sleep(20 * time.Microsecond)
-			}
+// finishParked runs once the worker's queue is closed. It finishes the
+// worker's parked and stashed requests, then keeps acknowledging phase
+// transitions until every other worker has finished too: a stashed
+// transaction replays only in a joined phase, and the transition to it
+// needs every worker's acknowledgement. Fences release as cross-shard
+// applies drain on the other workers' queues, or through the router's
+// failure-path cleanup.
+func (l *workerLoop) finishParked() {
+	db := l.db
+	for {
+		l.settle()
+		if len(l.parked) == 0 && len(l.stashed) == 0 {
+			break
 		}
+		if len(l.stashed) > 0 && db.eng.Phase() == core.PhaseSplit {
+			db.eng.RequestJoinedPhase()
+		}
+		l.await()
+		db.eng.Poll(l.w)
 	}
-	for db.eng.StashLen(w) > 0 {
-		db.eng.Poll(w)
-		time.Sleep(20 * time.Microsecond)
+	if db.draining.Add(-1) == 0 {
+		close(db.drained)
 	}
-	for _, req := range stashed {
-		db.finishStashed(w, req)
+	for {
+		select {
+		case <-db.drained:
+			return
+		case <-l.wake:
+			db.eng.Poll(l.w)
+		}
 	}
 }
 
 // finishStashed acknowledges a request whose transaction went through
 // the worker's stash, after the stash has drained.
-func (db *DB) finishStashed(w int, req *request) {
+func (l *workerLoop) finishStashed(req *request) {
+	db := l.db
 	// Fail-stop: if the redo logger died, the drain may have refused
 	// (and dropped) this stashed transaction instead of executing it —
 	// acknowledging success here would violate the fail-stop contract.
@@ -424,7 +435,7 @@ func (db *DB) finishStashed(w int, req *request) {
 	// newest redo LSN covers it (or an earlier record — waiting on that
 	// is merely conservative).
 	if db.syncCommit {
-		if err := db.waitDurableCommit(w); err != nil {
+		if err := l.waitDurableCommit(); err != nil {
 			req.finish(err)
 			return
 		}
@@ -440,8 +451,8 @@ const (
 	// runDone: the request finished (committed, aborted with the user's
 	// error, or was cancelled); nothing further to do.
 	runDone runResult = iota
-	// runParked: the request kept aborting on a commit fence past its
-	// inline spin budget — retry it later without blocking the worker.
+	// runParked: the request aborted on a commit fence — retry it after
+	// the next wake without blocking the worker.
 	runParked
 	// runStashed: the transaction was stashed for the next joined phase;
 	// finish the request (finishStashed) once this worker's stash
@@ -454,7 +465,8 @@ const (
 
 // run executes one request until it completes, parks, or stashes; see
 // runResult for what each outcome requires of the caller.
-func (db *DB) run(w int, req *request) runResult {
+func (l *workerLoop) run(req *request) runResult {
+	db := l.db
 	// A request cancelled while it waited in the queue never executes
 	// (the ExecContext contract); the caller has already returned, so
 	// the completion send lands in the buffered done channel unread.
@@ -466,14 +478,13 @@ func (db *DB) run(w int, req *request) runResult {
 		default:
 		}
 	}
-	backoff := time.Microsecond
-	var fenceDeadline time.Time
+	var bo backoff
 	for {
-		out, err := db.eng.Attempt(w, req.fn, req.submit)
+		out, err := db.eng.Attempt(l.w, req.fn, req.submit)
 		switch out {
 		case engine.Committed:
 			if db.syncCommit {
-				if err := db.waitDurableCommit(w); err != nil {
+				if err := l.waitDurableCommit(); err != nil {
 					req.finish(err)
 					return runDone
 				}
@@ -495,43 +506,64 @@ func (db *DB) run(w int, req *request) runResult {
 			req.finish(err)
 			return runDone
 		case engine.Paused:
-			db.eng.Poll(w)
+			// This worker acknowledged a transition the others have not
+			// yet; the last acknowledger's completion wakes it.
+			l.await()
 		case engine.AbortedFenced:
-			// Yielding to a cross-shard commit fence. Spin briefly — the
-			// owning commit usually applies within microseconds — but
-			// never past the budget: its apply transaction may be queued
-			// behind this request on this very worker.
-			if fenceDeadline.IsZero() {
-				fenceDeadline = time.Now().Add(fenceSpinBudget)
-			} else if time.Now().After(fenceDeadline) {
-				return runParked
-			}
-			db.eng.Poll(w)
-			time.Sleep(5 * time.Microsecond)
+			// Yielding to a cross-shard commit fence, whose owning apply
+			// transaction may be queued behind this request on this very
+			// worker. The router's release of the fence wakes the worker.
+			return runParked
 		case engine.Aborted:
-			time.Sleep(backoff)
-			if backoff < time.Millisecond {
-				backoff *= 2
-			}
+			bo.wait()
 		}
 	}
+}
+
+// backoff paces retries of a conflict-aborted transaction. The first
+// steps only yield the processor: a timer sleep that short is delivered
+// tens of microseconds late, far longer than the conflicting commit
+// takes. Later steps sleep, doubling up to maxBackoff.
+type backoff struct{ step int }
+
+const (
+	backoffYields = 6 // steps that only yield
+	minBackoff    = 64 * time.Microsecond
+	maxBackoff    = time.Millisecond
+)
+
+func (b *backoff) wait() {
+	if b.step < backoffYields {
+		b.step++
+		runtime.Gosched()
+		return
+	}
+	d := minBackoff << (b.step - backoffYields)
+	if d < maxBackoff {
+		b.step++
+	} else {
+		d = maxBackoff
+	}
+	time.Sleep(d)
 }
 
 // waitDurableCommit holds a SyncCommit acknowledgement until the
 // transaction's redo record is written and fsynced. A commit that
 // buffered split (slice) writes has no redo record yet — slice writes
 // are logged when reconciliation merges them at the next phase
-// transition — so first poll the engine until this worker's slices
-// have reconciled (bounded by the coordinator's phase clock, like the
-// stash wait), then wait on the group-commit watermark. Concurrent
-// commits share each fsync; a terminal logger failure surfaces here
-// instead of acknowledging a commit that can never be durable.
-func (db *DB) waitDurableCommit(w int) error {
-	for db.eng.SliceRedoPending(w) {
-		db.eng.Poll(w)
-		time.Sleep(50 * time.Microsecond)
+// transition — so first wait for the transition's wake and Poll, which
+// reconciles this worker's slices (bounded by the coordinator's phase
+// clock, like the stash wait), then wait on the group-commit watermark.
+// Concurrent commits share each fsync; a terminal logger failure
+// surfaces here instead of acknowledging a commit that can never be
+// durable.
+func (l *workerLoop) waitDurableCommit() error {
+	db := l.db
+	for db.eng.SliceRedoPending(l.w) {
+		l.await()
+		db.eng.Poll(l.w)
 	}
-	if err := db.redo.WaitDurable(db.eng.RedoLSN(w)); err != nil {
+	if err := db.redo.WaitDurable(db.eng.RedoLSN(l.w)); err != nil {
 		return fmt.Errorf("doppel: commit not durable: %w", err)
 	}
 	return nil

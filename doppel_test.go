@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"doppel/internal/core"
 )
 
 func TestOpenExecClose(t *testing.T) {
@@ -212,5 +214,51 @@ func TestStatsAndHints(t *testing.T) {
 	st := db.Stats()
 	if st.Committed == 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestCloseWithStashedRead: Close must not hang while a stashed
+// transaction is pending. The stash replays only in a joined phase, and
+// the transition to it needs every worker's acknowledgement, so workers
+// whose queues have closed must keep acknowledging until every worker's
+// held-back requests are finished.
+func TestCloseWithStashedRead(t *testing.T) {
+	db := Open(Options{Workers: 2, PhaseLength: 200 * time.Millisecond})
+	db.SplitHint("hot", OpAdd)
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Internal().Phase() != core.PhaseSplit {
+		if time.Now().After(deadline) {
+			t.Fatal("the hinted key never split")
+		}
+		if err := db.Exec(func(tx Tx) error { return tx.Add("hot", 1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(chan error, 1)
+	db.ExecAsync(func(tx Tx) error {
+		_, err := tx.GetInt("hot")
+		return err
+	}, func(err error) { got <- err })
+
+	closed := make(chan struct{})
+	go func() {
+		db.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close did not return within 3s with a stashed read pending")
+	}
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("stashed read completed with %v, want nil", err)
+		}
+	default:
+		t.Fatal("Close returned before the stashed read's callback fired")
+	}
+	if st := db.Stats(); st.Stashed == 0 {
+		t.Fatal("the read was never stashed; the test did not exercise the stash path")
 	}
 }

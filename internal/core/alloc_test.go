@@ -97,6 +97,40 @@ func TestCommitPathAllocsMultiWrite(t *testing.T) {
 	}
 }
 
+// TestSplitAddAllocs: a split-phase Add on a slice already written in
+// this phase accumulates in the slice's own value, so the commit
+// allocates nothing at all — precompute, commit and applySliceWrites.
+func TestSplitAddAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	db, _ := openRedoDB(t)
+	db.SplitHint("k", store.OpAdd)
+	if !db.RequestSplitPhase() {
+		t.Fatal("split phase refused")
+	}
+	db.Poll(0)
+	if db.Phase() != PhaseSplit {
+		t.Fatalf("phase %v, want split", db.Phase())
+	}
+	add := func(tx engine.Tx) error { return tx.Add("k", 1) }
+	for i := 0; i < 100; i++ {
+		attemptCommit(t, db, add)
+	}
+	if n := testing.AllocsPerRun(1000, func() { attemptCommit(t, db, add) }); n != 0 {
+		t.Errorf("split-phase Add commit allocates %.2f objects/op, want 0", n)
+	}
+	if !db.RequestJoinedPhase() {
+		t.Fatal("joined phase refused")
+	}
+	db.Poll(0)
+	// 100 warm-up Adds, then AllocsPerRun's 1000 runs plus its own
+	// warm-up call.
+	if n, _ := db.Store().Get("k").Value().AsInt(); n != 1101 {
+		t.Fatalf("reconciled counter = %d, want 1101", n)
+	}
+}
+
 // BenchmarkCommitReadOnlyRedo reports the read-only commit path's
 // time and allocs/op with redo logging configured (which it never
 // touches — reads log nothing).

@@ -128,6 +128,25 @@ func (db *DB) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Outcom
 // has begun.
 func (db *DB) Poll(w int) { db.workers[w].poll() }
 
+// Wake returns worker w's wake channel. It holds at most one token; a
+// token is left in it after every change of state the worker's driver
+// may be waiting for: a transition published (beginTransition,
+// RequestBarrier), a transition completed (completeTransition), and
+// commit fences released (WakeAll, called by the cluster router). A
+// driver with nothing to run blocks on its request source and this
+// channel, calls Poll when woken, and retries whatever it holds back.
+// See doc.go for the full contract.
+func (db *DB) Wake(w int) <-chan struct{} { return db.workers[w].wake }
+
+// WakeAll leaves a wakeup for every worker. Callers outside the engine
+// use it after a change the engine cannot see, such as the cluster
+// router releasing its commit fences.
+func (db *DB) WakeAll() {
+	for _, w := range db.workers {
+		w.notify()
+	}
+}
+
 // Phase returns the current global phase.
 func (db *DB) Phase() Phase { return Phase(db.phase.Load()) }
 
@@ -186,8 +205,9 @@ func (db *DB) RedoLSN(w int) uint64 { return db.workers[w].redoLSN }
 // slice writes whose redo records have not been appended yet (they are
 // logged when the worker reconciles its slices at the next phase
 // transition). While it is true, RedoLSN does not cover the worker's
-// newest commit; durability-synchronous callers poll the worker until
-// it clears. Must be called from the goroutine that drives worker w.
+// newest commit; durability-synchronous callers wait on the worker's
+// wake channel and Poll until it clears. Must be called from the
+// goroutine that drives worker w.
 func (db *DB) SliceRedoPending(w int) bool { return db.workers[w].slicedRedo }
 
 // SplitHint manually labels key as split data for op ("this record should
@@ -228,6 +248,7 @@ func (db *DB) beginTransition(target Phase, nextSet *splitSet) bool {
 	if !db.inflight.CompareAndSwap(nil, tr) {
 		return false
 	}
+	db.WakeAll()
 	return true
 }
 
@@ -270,6 +291,7 @@ func (db *DB) completeTransition(tr *transition) {
 	}
 	db.inflight.Store(nil)
 	close(tr.released)
+	db.WakeAll()
 }
 
 // coordinate is the coordinator loop: it proposes a phase change every
@@ -385,7 +407,11 @@ func (db *DB) RequestBarrier(fn func()) bool {
 		total:    int32(len(db.workers)),
 		released: make(chan struct{}),
 	}
-	return db.inflight.CompareAndSwap(nil, tr)
+	if !db.inflight.CompareAndSwap(nil, tr) {
+		return false
+	}
+	db.WakeAll()
+	return true
 }
 
 // Close stops the coordinator, completes any in-flight transition on

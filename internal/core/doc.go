@@ -9,8 +9,9 @@
 // # The phase-transition protocol
 //
 // The engine is driven through the engine.Engine interface: worker w
-// must be driven from a single goroutine that calls Attempt/Poll
-// regularly so the worker can participate in phase transitions. The
+// must be driven from a single goroutine that calls Attempt, and Poll
+// whenever the worker's wake channel fires (or regularly), so the
+// worker can participate in phase transitions. The
 // coordinator goroutine only proposes transitions (publishing one
 // in-flight *transition at a time); workers notice it between
 // transactions, perform their pre-transition duty — reconciling their
@@ -18,6 +19,34 @@
 // acknowledger installs the new phase and releases everyone (§5.4).
 // Consequently every transaction executes entirely within one phase,
 // and no commit is ever in flight while a transition completes.
+//
+// # The wake channel
+//
+// A driver does not have to poll on a timer to keep transitions moving.
+// Each worker has a wake channel (DB.Wake) holding at most one token,
+// and a token is left in it, with a non-blocking send, after every
+// change of state a driver may be waiting for:
+//
+//   - beginTransition and RequestBarrier, after publishing a transition:
+//     every worker must notice it and acknowledge;
+//   - completeTransition, after installing the new phase and releasing
+//     the transition: workers paused on it resume, and a worker entering
+//     a joined phase drains its stash;
+//   - WakeAll, which the cluster router calls after releasing a shard's
+//     commit fences: requests that aborted on them, and stashed
+//     transactions a drain put back because of them, can now run.
+//
+// Every state change is followed by a send, so no wakeup is lost: a
+// driver that checked the state and found nothing to do, then blocked
+// on the channel, either finds the token of the change that happened
+// since or receives it. One slot suffices because a token carries no
+// data — it only says "look again" — and a woken driver re-reads all
+// state (Poll, then retry whatever it held back), which covers every
+// change made before it looked; a send that finds the slot full is
+// covered by the token already there. A driver that blocks on the
+// channel while waiting for one thing (a paused Attempt waiting for a
+// transition to complete) must treat the token as a wake for all the
+// others too, since it may have consumed one meant for them.
 //
 // # Barriers and durability
 //

@@ -144,3 +144,49 @@ func TestStashedFirstReplayIsNotARetry(t *testing.T) {
 		t.Fatalf("stashed=%d retries=%d, want 1/0", st.Stashed, st.Retries)
 	}
 }
+
+// TestPublishedSliceValueIsNotReused: integer slices accumulate in place,
+// and reconcile publishes the slice's own value when the record is
+// absent (merging into nothing). That value must never change again,
+// even though the next split phase writes the same key's slice.
+func TestPublishedSliceValueIsNotReused(t *testing.T) {
+	db := manualDB(1)
+	defer db.Close()
+	db.SplitHint("fresh", store.OpAdd)
+	phase := func(p Phase) {
+		t.Helper()
+		ok := db.RequestJoinedPhase()
+		if p == PhaseSplit {
+			ok = db.RequestSplitPhase()
+		}
+		if !ok {
+			t.Fatalf("transition to %v refused", p)
+		}
+		db.Poll(0)
+		if db.Phase() != p {
+			t.Fatalf("phase %v, want %v", db.Phase(), p)
+		}
+	}
+	add := func(n int64) engine.TxFunc {
+		return func(tx engine.Tx) error { return tx.Add("fresh", n) }
+	}
+
+	phase(PhaseSplit)
+	mustCommit(t, db, 0, add(5))
+	mustCommit(t, db, 0, add(2))
+	phase(PhaseJoined)
+	published := db.Store().Get("fresh").Value()
+	if n, _ := published.AsInt(); n != 7 {
+		t.Fatalf("reconciled value %v, want 7", published)
+	}
+
+	phase(PhaseSplit)
+	mustCommit(t, db, 0, add(100))
+	if n, _ := published.AsInt(); n != 7 {
+		t.Fatalf("the published value changed to %v during the next split phase", published)
+	}
+	phase(PhaseJoined)
+	if n, _ := db.Store().Get("fresh").Value().AsInt(); n != 107 {
+		t.Fatalf("final value %v, want 107", db.Store().Get("fresh").Value())
+	}
+}

@@ -24,7 +24,7 @@ type Tx struct {
 	wset   []writeEnt
 	sw     []sliceWrite // buffered split writes (the paper's SW, Figure 3)
 	pend   []pending
-	swPend []pending // scratch for pre-computed slice values
+	swPend []slicePend // scratch for pre-computed slice values
 	wrote  bool
 	// fence is the commit-fence token this transaction owns, zero for
 	// ordinary transactions. The router's cross-shard apply sets it (via
@@ -49,6 +49,14 @@ type writeEnt struct {
 type sliceWrite struct {
 	sk *splitKey
 	op store.Op
+}
+
+// slicePend is one buffered slice write's pre-computed result. An
+// integer result is held in own, with val pointing at it, so computing
+// it allocates nothing; applySliceWrites copies it into the slice.
+type slicePend struct {
+	val *store.Value
+	own store.Value
 }
 
 type pending struct {
@@ -305,28 +313,38 @@ func (t *Tx) genTID() uint64 {
 //doppel:hotpath
 func (t *Tx) commit() (engine.Outcome, error) {
 	// Pre-compute slice values so a type error aborts with no effects.
-	// The scratch slice persists across transactions, so the split-phase
-	// fast path allocates only the new values themselves.
-	swVals := t.swPend[:0] // reuse of pending shape: rec unused, val holds new slice value
-	if len(t.sw) > 0 {
-		slices := t.w.slices
-		// Track the latest pending value per slice index for correct
-		// composition of multiple ops on one slice within this txn.
-		for i, sw := range t.sw {
-			cur := slices[sw.sk.idx].val
-			for j := 0; j < i; j++ {
-				if t.sw[j].sk == sw.sk {
-					cur = swVals[j].val
-				}
+	// The scratch persists across transactions and integer results land
+	// in it, so a split-phase Add, Max, Min or Mult allocates nothing.
+	// It is sized before any entry is filled in: a later entry may
+	// point into an earlier one, so it must not move.
+	swVals := t.swPend[:0]
+	for range t.sw {
+		swVals = append(swVals, slicePend{})
+	}
+	t.swPend = swVals
+	for i, sw := range t.sw {
+		// Compose with earlier writes to the same slice in this txn.
+		cur := t.w.slices[sw.sk.idx].val
+		for j := 0; j < i; j++ {
+			if t.sw[j].sk == sw.sk {
+				cur = swVals[j].val
 			}
-			nv, err := store.Apply(cur, sw.op)
+		}
+		p := &swVals[i]
+		if sw.op.Kind.IntOp() {
+			n, err := store.ApplyInt(cur, sw.op)
 			if err != nil {
-				t.swPend = swVals
 				return engine.UserAbort, err
 			}
-			swVals = append(swVals, pending{val: nv})
+			p.own.Kind, p.own.Int = store.KindInt64, n
+			p.val = &p.own
+			continue
 		}
-		t.swPend = swVals
+		nv, err := store.Apply(cur, sw.op)
+		if err != nil {
+			return engine.UserAbort, err
+		}
+		p.val = nv
 	}
 
 	// Read-only (and slice-only) fast path. The fence check closes the
@@ -470,11 +488,20 @@ func (t *Tx) logRedo(commitTID uint64, newVals []pending) {
 }
 
 // applySliceWrites installs pre-computed slice values and bumps write
-// counts for the classifier's write sampling.
-func (t *Tx) applySliceWrites(swVals []pending) {
+// counts for the classifier's write sampling. Integer results are
+// copied into the slice's own value, so they allocate nothing.
+//
+//doppel:hotpath
+func (t *Tx) applySliceWrites(swVals []slicePend) {
 	for i, sw := range t.sw {
 		sl := &t.w.slices[sw.sk.idx]
-		sl.val = swVals[i].val
+		p := &swVals[i]
+		if p.val == &p.own {
+			sl.own.Kind, sl.own.Int = store.KindInt64, p.own.Int
+			sl.val = &sl.own
+		} else {
+			sl.val = p.val
+		}
 		sl.writes++
 	}
 	if len(t.sw) > 0 {

@@ -34,8 +34,16 @@ type stashedTxn struct {
 
 // sliceState is one per-core slice: the accumulated value for one split
 // record on one worker (§4). val == nil is the operation's identity.
+//
+// The integer operations (Add, Max, Min, Mult) accumulate in place in
+// own, and val then points at it, so a slice allocates nothing after
+// its first write in a phase. Reconcile may publish val into the global
+// record; that is safe because the slices are dropped right after and
+// the next split phase starts from a fresh array, so a published own is
+// never written again.
 type sliceState struct {
 	val    *store.Value
+	own    store.Value
 	writes uint64
 }
 
@@ -47,6 +55,7 @@ type Worker struct {
 	id    int
 	tidID int // id + Config.WorkerIDBase: the ID embedded in commit TIDs
 	stats *metrics.TxnStats
+	wake  chan struct{} // one-slot wakeup; see DB.Wake
 
 	lastSeq         uint64 // TID sequence generator state
 	ackedEpoch      uint64 // highest transition epoch acknowledged
@@ -98,9 +107,20 @@ func newWorker(db *DB, id int) *Worker {
 		id:           id,
 		tidID:        db.cfg.WorkerIDBase + id,
 		stats:        metrics.NewTxnStats(),
+		wake:         make(chan struct{}, 1),
 		conflicts:    map[string]*opCounts{},
 		splitWrites:  map[string]uint64{},
 		splitStashes: map[string]*opCounts{},
+	}
+}
+
+// notify leaves a wakeup in the worker's wake channel without blocking.
+// A token already there covers this one: the woken goroutine re-reads
+// all state after taking it.
+func (w *Worker) notify() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -257,7 +277,8 @@ func (w *Worker) drainStash() {
 				// be queued behind this very drain on this worker, so
 				// spinning here could wait forever for a fence only we can
 				// release. Put the transaction back in the stash and move
-				// on; a later drain retries it after the fence clears.
+				// on; a Poll in the joined phase retries it after the
+				// fence clears.
 				w.stash = append(w.stash, s)
 				break
 			}
@@ -286,7 +307,14 @@ func (w *Worker) attempt(fn engine.TxFunc, submitNanos int64) (engine.Outcome, e
 }
 
 // poll participates in phase transitions without running a transaction.
-func (w *Worker) poll() { w.checkPhase() }
+// In a joined phase it also replays whatever is still stashed: a drain
+// puts back transactions that hit a commit fence, and once the fence is
+// released they must not wait for the next phase change.
+func (w *Worker) poll() {
+	if w.checkPhase() && len(w.stash) > 0 && w.db.Phase() == PhaseJoined {
+		w.drainStash()
+	}
+}
 
 // execOnce runs fn once in the current phase and classifies the outcome.
 func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, error) {

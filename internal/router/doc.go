@@ -56,7 +56,9 @@
 // foreign fence aborts with engine.AbortedFenced and retries once the
 // fence releases (microseconds — but the retry must not block the
 // shard's worker loop, because the releasing apply transaction may be
-// queued behind it; doppel parks such requests off the queue).
+// queued behind it; doppel parks such requests off the queue). The
+// router wakes each shard's workers (Shard.WakeAll) right after
+// releasing that shard's fences, and the parked requests retry then.
 //
 // The record lock orders fence publication against in-flight
 // committers: prepare reads its validation snapshot inside the lock

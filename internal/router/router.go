@@ -69,6 +69,10 @@ type Shard interface {
 	// current phase — its global record then lags the per-core slices,
 	// so a prepare-time snapshot of it is not committed state.
 	SplitActive(key string) bool
+	// WakeAll wakes every shard worker; the router calls it after
+	// releasing the shard's commit fences, so requests parked on those
+	// fences are retried.
+	WakeAll()
 }
 
 // errCrossShard aborts a single-shard attempt that touched a key owned

@@ -492,9 +492,12 @@ func (r *Router) apply(g *gatherTx, tok uint64) error {
 // keys the round never got to fence (an early stale exit) and keys
 // fenced by another transaction are untouched, and double releases are
 // no-ops — the caller may call it unconditionally on every exit path.
+// Each shard's workers are woken after its fences are down: requests
+// that aborted on them are parked until that wake.
 func (r *Router) unfenceAll(g *gatherTx, tok uint64) {
 	for si, s := range g.shardIDs {
-		st := r.shards[s].Store()
+		sh := r.shards[s]
+		st := sh.Store()
 		for _, rd := range g.shardReads(si) {
 			if rec := st.Get(rd.key); rec != nil {
 				rec.Unfence(tok)
@@ -505,6 +508,7 @@ func (r *Router) unfenceAll(g *gatherTx, tok uint64) {
 				rec.Unfence(tok)
 			}
 		}
+		sh.WakeAll()
 	}
 }
 

@@ -27,11 +27,12 @@ func AppendValue(dst []byte, v *Value) []byte {
 		dst = append(dst, byte(KindBytes))
 		return append(dst, v.Bytes...)
 	case KindTuple:
+		t := v.tuple()
 		dst = append(dst, byte(KindTuple))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Tuple.Order.A))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Tuple.Order.B))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Tuple.CoreID))
-		return append(dst, v.Tuple.Data...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(t.Order.A))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(t.Order.B))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(t.CoreID))
+		return append(dst, t.Data...)
 	case KindTopK:
 		dst = append(dst, byte(KindTopK))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.TopK.K()))

@@ -85,45 +85,15 @@ func Apply(v *Value, op Op) (*Value, error) {
 	switch op.Kind {
 	case OpPut:
 		return op.Val, nil
-	case OpAdd:
-		cur, err := v.AsInt()
+	case OpAdd, OpMult, OpMax, OpMin:
+		n, err := ApplyInt(v, op)
 		if err != nil {
 			return nil, err
 		}
-		return IntValue(cur + op.Int), nil
-	case OpMult:
-		if v == nil {
-			return IntValue(op.Int), nil
+		if v != nil && v.Int == n {
+			return v, nil // unchanged; values are immutable, so share it
 		}
-		cur, err := v.AsInt()
-		if err != nil {
-			return nil, err
-		}
-		return IntValue(cur * op.Int), nil
-	case OpMax:
-		if v == nil {
-			return IntValue(op.Int), nil
-		}
-		cur, err := v.AsInt()
-		if err != nil {
-			return nil, err
-		}
-		if op.Int > cur {
-			return IntValue(op.Int), nil
-		}
-		return v, nil
-	case OpMin:
-		if v == nil {
-			return IntValue(op.Int), nil
-		}
-		cur, err := v.AsInt()
-		if err != nil {
-			return nil, err
-		}
-		if op.Int < cur {
-			return IntValue(op.Int), nil
-		}
-		return v, nil
+		return IntValue(n), nil
 	case OpOPut:
 		cur, present, err := v.AsTuple()
 		if err != nil {
@@ -144,6 +114,38 @@ func Apply(v *Value, op Op) (*Value, error) {
 		return TopKValue(cur.Insert(op.Entry)), nil
 	default:
 		return nil, fmt.Errorf("store: cannot apply %v", op.Kind)
+	}
+}
+
+// IntOp reports whether k is one of the integer operations (Add, Max,
+// Min, Mult), whose results ApplyInt computes without allocating.
+func (k OpKind) IntOp() bool {
+	return k == OpAdd || k == OpMax || k == OpMin || k == OpMult
+}
+
+// ApplyInt is Apply for the integer operations, returning the resulting
+// integer instead of a new value: absent (nil) acts as the operation's
+// identity, and a non-integer v is an error. It allocates nothing.
+func ApplyInt(v *Value, op Op) (int64, error) {
+	if !op.Kind.IntOp() {
+		return 0, fmt.Errorf("store: %v is not an integer operation", op.Kind)
+	}
+	if v == nil {
+		return op.Int, nil
+	}
+	cur, err := v.AsInt()
+	if err != nil {
+		return 0, err
+	}
+	switch op.Kind {
+	case OpAdd:
+		return cur + op.Int, nil
+	case OpMult:
+		return cur * op.Int, nil
+	case OpMax:
+		return max(cur, op.Int), nil
+	default:
+		return min(cur, op.Int), nil
 	}
 }
 

@@ -276,3 +276,29 @@ func TestSplitMergeEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyIntMatchesApply: ApplyInt is Apply for the integer
+// operations without the allocation, absent input included.
+func TestApplyIntMatchesApply(t *testing.T) {
+	for _, kind := range []OpKind{OpAdd, OpMax, OpMin, OpMult} {
+		for _, cur := range []*Value{nil, IntValue(-3), IntValue(0), IntValue(7)} {
+			for _, n := range []int64{-5, 0, 1, 9} {
+				op := Op{Kind: kind, Int: n}
+				want, err := Apply(cur, op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ApplyInt(cur, op)
+				if err != nil || got != want.Int {
+					t.Fatalf("ApplyInt(%v, %v %d) = %d, %v; Apply gives %v", cur, kind, n, got, err, want)
+				}
+			}
+		}
+		if _, err := ApplyInt(BytesValue([]byte("x")), Op{Kind: kind, Int: 1}); err == nil {
+			t.Fatalf("%v on a byte string: no error", kind)
+		}
+	}
+	if _, err := ApplyInt(nil, Op{Kind: OpOPut}); err == nil {
+		t.Fatal("ApplyInt accepted OPut")
+	}
+}

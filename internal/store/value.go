@@ -84,12 +84,30 @@ func (t Tuple) wins(cur Tuple) bool {
 // Value is an immutable typed value. A nil *Value means "absent", which
 // every splittable operation treats as its identity (the paper: "Absent
 // records are treated as having o = −∞").
+//
+// Tuple sits behind a pointer so a Value stays within one 64-byte size
+// class; most values are integers or byte strings. TupleValue allocates
+// the value and its tuple as one object.
 type Value struct {
 	Kind  Kind
 	Int   int64
 	Bytes []byte
-	Tuple Tuple
+	Tuple *Tuple
 	TopK  *TopK
+}
+
+// tuple returns the tuple content; a nil Tuple reads as the zero tuple.
+func (v *Value) tuple() Tuple {
+	if v.Tuple == nil {
+		return Tuple{}
+	}
+	return *v.Tuple
+}
+
+// tupleValue is a tuple value and its tuple in one allocation.
+type tupleValue struct {
+	v Value
+	t Tuple
 }
 
 // IntValue returns an int64 value.
@@ -100,7 +118,11 @@ func IntValue(n int64) *Value { return &Value{Kind: KindInt64, Int: n} }
 func BytesValue(b []byte) *Value { return &Value{Kind: KindBytes, Bytes: b} }
 
 // TupleValue returns an ordered-tuple value.
-func TupleValue(t Tuple) *Value { return &Value{Kind: KindTuple, Tuple: t} }
+func TupleValue(t Tuple) *Value {
+	tv := &tupleValue{v: Value{Kind: KindTuple}, t: t}
+	tv.v.Tuple = &tv.t
+	return &tv.v
+}
 
 // TopKValue returns a top-K set value.
 func TopKValue(t *TopK) *Value { return &Value{Kind: KindTopK, TopK: t} }
@@ -135,7 +157,7 @@ func (v *Value) AsTuple() (Tuple, bool, error) {
 	if v.Kind != KindTuple {
 		return Tuple{}, false, fmt.Errorf("store: value is %v, not tuple", v.Kind)
 	}
-	return v.Tuple, true, nil
+	return v.tuple(), true, nil
 }
 
 // AsTopK returns the top-K set content, treating absent as the empty set.
@@ -163,9 +185,8 @@ func (v *Value) Equal(w *Value) bool {
 	case KindBytes:
 		return bytes.Equal(v.Bytes, w.Bytes)
 	case KindTuple:
-		return v.Tuple.Order == w.Tuple.Order &&
-			v.Tuple.CoreID == w.Tuple.CoreID &&
-			bytes.Equal(v.Tuple.Data, w.Tuple.Data)
+		a, b := v.tuple(), w.tuple()
+		return a.Order == b.Order && a.CoreID == b.CoreID && bytes.Equal(a.Data, b.Data)
 	case KindTopK:
 		return v.TopK.Equal(w.TopK)
 	default:
@@ -184,7 +205,8 @@ func (v *Value) String() string {
 	case KindBytes:
 		return fmt.Sprintf("bytes(%q)", v.Bytes)
 	case KindTuple:
-		return fmt.Sprintf("tuple(%v,%d,%q)", v.Tuple.Order, v.Tuple.CoreID, v.Tuple.Data)
+		t := v.tuple()
+		return fmt.Sprintf("tuple(%v,%d,%q)", t.Order, t.CoreID, t.Data)
 	case KindTopK:
 		return fmt.Sprintf("topk(%v)", v.TopK)
 	default:

@@ -3,6 +3,7 @@ package store
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -152,5 +153,32 @@ func TestValueString(t *testing.T) {
 	}
 	if !strings.Contains(IntValue(7).String(), "7") {
 		t.Fatal("int string should contain the value")
+	}
+}
+
+// TestValueSize pins Value to one 64-byte allocation size class: the
+// tuple lives behind a pointer, since most values are integers or byte
+// strings.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 64 {
+		t.Fatalf("sizeof(Value) = %d bytes, want <= 64", n)
+	}
+}
+
+// TestTupleValueOwnsItsTuple: TupleValue copies the tuple into the
+// value, so later changes to the caller's Tuple do not show through.
+func TestTupleValueOwnsItsTuple(t *testing.T) {
+	tp := Tuple{Order: Order{A: 1, B: 2}, CoreID: 3, Data: []byte("x")}
+	v := TupleValue(tp)
+	tp.Order.A = 99
+	got, ok, err := v.AsTuple()
+	if err != nil || !ok || got.Order.A != 1 || got.CoreID != 3 || string(got.Data) != "x" {
+		t.Fatalf("AsTuple = %+v %v %v", got, ok, err)
+	}
+	if !v.Equal(TupleValue(Tuple{Order: Order{A: 1, B: 2}, CoreID: 3, Data: []byte("x")})) {
+		t.Fatal("equal tuples compare unequal")
+	}
+	if s := v.String(); s != `tuple({1 2},3,"x")` {
+		t.Fatalf("String = %s", s)
 	}
 }

@@ -68,9 +68,11 @@ func syncDir(dir string) {
 
 // Options tunes a Logger.
 type Options struct {
-	// MaxSegmentBytes, when positive, seals the active segment and opens
-	// the next one as soon as appended records push it past this size —
-	// independent of checkpoints, which also rotate the log. Small
+	// MaxSegmentBytes, when positive, caps a segment at this size —
+	// independent of checkpoints, which also rotate the log. The
+	// committer cuts a batch at the last record boundary that fits,
+	// seals the segment and continues in the next one; a single record
+	// larger than the budget gets a segment of its own. Small
 	// segments bound how much any single file can hold and give parallel
 	// recovery units of work; 0 disables size-based rotation (segments
 	// then seal only at checkpoint rotations).
@@ -375,7 +377,7 @@ func (l *Logger) committer() {
 		l.mu.Unlock()
 
 		if len(batch) > 0 {
-			err := writeBatch(f, batch)
+			err := l.writeBudgeted(f, batch, batchMeta)
 			if err != nil {
 				// A failed (possibly partial) batch write leaves junk at
 				// the segment tail. Appending later batches after it
@@ -396,22 +398,19 @@ func (l *Logger) committer() {
 			// durable position itself is published under mu alongside the
 			// watermark broadcast.
 			l.durable.Store(batchLSN)
-			newOff := l.curBytes + int64(len(batch))
 			l.mu.Lock()
 			l.spare = batch[:0]
-			l.durPos = Position{Seq: l.seq, Offset: newOff}
+			l.durPos = Position{Seq: l.seq, Offset: l.curBytes}
 			l.durCond.Broadcast()
 			l.mu.Unlock()
-			l.curBytes += int64(len(batch))
-			l.curMeta.merge(batchMeta)
 		}
 		if rot != nil {
 			l.doRotate(rot)
 		} else if l.opts.MaxSegmentBytes > 0 && l.curBytes >= l.opts.MaxSegmentBytes && !closed {
 			// Size-based rotation: the segment reached its byte budget, so
-			// seal it and move on, independent of any checkpoint. Sealing
-			// happens between batches, so segment boundaries always fall
-			// on record boundaries.
+			// seal it now rather than when the next batch arrives.
+			// writeBudgeted cut the batch at record boundaries, so the
+			// segment ends on one.
 			if _, err := l.advance(); err != nil {
 				l.fail(err)
 				return
@@ -545,6 +544,67 @@ func (l *Logger) updateManifest(mut func(*Manifest)) error {
 	}
 	l.man = m
 	return nil
+}
+
+// writeBudgeted appends one group-commit batch to the open segment
+// (f) and syncs it. With MaxSegmentBytes set, the batch is cut at
+// record boundaries so that no segment grows past the budget: the
+// records that fit are written, the segment is sealed, and the rest
+// continues into the next one. A single record larger than the budget
+// gets a segment of its own. It runs on the committer goroutine only.
+func (l *Logger) writeBudgeted(f segFile, batch []byte, meta SegmentMeta) error {
+	budget := l.opts.MaxSegmentBytes
+	cut := false
+	for len(batch) > 0 {
+		n, m := len(batch), meta
+		if budget > 0 && (cut || l.curBytes+int64(n) > budget) {
+			cut = true // from here on, each part's metadata is recounted
+			n, m = fitRecords(batch, budget-l.curBytes, l.curBytes == 0)
+		}
+		if n > 0 {
+			if err := writeBatch(f, batch[:n]); err != nil {
+				return err
+			}
+			l.curBytes += int64(n)
+			l.curMeta.merge(m)
+			batch = batch[n:]
+		}
+		if len(batch) > 0 {
+			if _, err := l.advance(); err != nil {
+				return err
+			}
+			f = l.f
+		}
+	}
+	return nil
+}
+
+// fitRecords returns the length and metadata of the longest prefix of
+// whole records in batch that fits in room bytes. When first is set
+// the prefix holds at least one record, whatever its size. batch is
+// committer input: every Append adds one AppendRecord frame (u32
+// bodyLen, u32 crc, then the body, which opens with the u64 TID). A
+// frame that overruns the batch cannot come from Append; it is taken
+// whole as one record so the cut always makes progress.
+func fitRecords(batch []byte, room int64, first bool) (int, SegmentMeta) {
+	var meta SegmentMeta
+	n := 0
+	for n < len(batch) {
+		size := len(batch) - n
+		if size >= 16 {
+			size = min(size, 8+int(binary.LittleEndian.Uint32(batch[n:])))
+		}
+		if int64(n+size) > room && !(first && n == 0) {
+			break
+		}
+		var tid uint64
+		if size >= 16 {
+			tid = binary.LittleEndian.Uint64(batch[n+8:])
+		}
+		meta.extendTID(tid)
+		n += size
+	}
+	return n, meta
 }
 
 // writeBatch pushes one group commit — already encoded, record-aligned

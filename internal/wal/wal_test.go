@@ -718,3 +718,66 @@ func TestMissingFirstLiveSegmentDetected(t *testing.T) {
 		t.Fatal("expected error for missing manifest segment")
 	}
 }
+
+// TestSizeRotationCutsBatches: MaxSegmentBytes is a real bound, not a
+// check between group commits. Records appended back to back land in
+// a few large batches; the committer must cut each batch at record
+// boundaries so no segment passes the budget — except a segment
+// holding a single record larger than the budget — and every sealed
+// segment's metadata must describe exactly the records in its file.
+func TestSizeRotationCutsBatches(t *testing.T) {
+	const budget = 200
+	dir := t.TempDir()
+	l, err := OpenOptions(dir, Options{MaxSegmentBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 120
+	var last uint64
+	for tid := uint64(1); tid <= n; tid++ {
+		val := []byte("v")
+		if tid == n/2 {
+			val = make([]byte, 2*budget) // one record over the budget
+		}
+		if last, err = l.Append(EncodeRecord(Record{TID: tid, Ops: []Op{{Key: "k", Value: val}}}), tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.WaitDurable(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man, recs, segs, err := ReplayDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != n {
+		t.Fatalf("replayed %d records, want %d", len(recs), n)
+	}
+	for i, r := range recs {
+		if r.TID != uint64(i+1) {
+			t.Fatalf("record %d has TID %d: order lost across cuts", i, r.TID)
+		}
+	}
+	if len(segs) < 10 {
+		t.Fatalf("only %d segments for %d records under a %d-byte budget", len(segs), n, budget)
+	}
+	for _, sg := range segs {
+		fi, err := os.Stat(sg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segRecs, _, err := ReplaySegment(sg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > budget && len(segRecs) != 1 {
+			t.Fatalf("segment %d holds %d bytes in %d records, budget %d", sg.Seq, fi.Size(), len(segRecs), budget)
+		}
+		if sm := man.SealedFor(sg.Seq); sm != nil && *sm != MetaFor(sg.Seq, segRecs) {
+			t.Fatalf("segment %d sealed as %+v, holds %+v", sg.Seq, *sm, MetaFor(sg.Seq, segRecs))
+		}
+	}
+}

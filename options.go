@@ -40,9 +40,10 @@ type Options struct {
 	// This bounds both recovery time and log disk usage. Requires
 	// RedoLog. Checkpoint() forces one manually.
 	CheckpointEvery time.Duration
-	// MaxSegmentBytes, when non-zero, seals the active WAL segment and
-	// opens the next one as soon as it exceeds this many bytes,
-	// independent of checkpoints. Bounded segments keep any single log
+	// MaxSegmentBytes, when non-zero, caps a WAL segment at this many
+	// bytes, independent of checkpoints: a group commit that would pass
+	// it is cut at a record boundary and continues in a new segment (a
+	// single larger record gets a segment of its own). Bounded segments keep any single log
 	// file small between checkpoints and give parallel recovery units of
 	// work. Requires RedoLog.
 	MaxSegmentBytes int64
