@@ -225,8 +225,8 @@ func main() {
 			if durable {
 				cs := db.CheckpointStats()
 				out += fmt.Sprintf(
-					" checkpoints=%d ckpt_failures=%d ckpt_seg=%d ckpt_entries=%d ckpt_bytes=%d ckpt_barrier=%v ckpt_walk=%v ckpt_cow=%d",
-					cs.Checkpoints, cs.Failures, cs.LastSeq, cs.LastEntries, cs.LastBytes, cs.LastBarrier, cs.LastWalk, cs.LastCOWSaves)
+					" redo_syncs=%d checkpoints=%d ckpt_failures=%d ckpt_seg=%d ckpt_entries=%d ckpt_bytes=%d ckpt_barrier=%v ckpt_walk=%v ckpt_cow=%d",
+					s.RedoSyncs, cs.Checkpoints, cs.Failures, cs.LastSeq, cs.LastEntries, cs.LastBytes, cs.LastBarrier, cs.LastWalk, cs.LastCOWSaves)
 				if s.RedoLogError != "" {
 					out += fmt.Sprintf(" redo_error=%q", s.RedoLogError)
 				}

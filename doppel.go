@@ -107,6 +107,13 @@ type Stats struct {
 	// transactions keep committing in memory after such a failure —
 	// operators must watch this field to know durability has stopped.
 	RedoLogError string
+	// RedoSyncs counts the redo log's group-commit syncs: batches
+	// written and fsynced, plus one per extra segment a MaxSegmentBytes
+	// cut spreads a batch over. Asynchronous commits share one sync per
+	// group-commit cadence (2 ms); a SyncCommit acknowledgement forces
+	// one as soon as it waits. RedoSyncs/Committed is the fsync cost per
+	// transaction.
+	RedoSyncs uint64
 	// ScrubPasses counts completed WAL scrub passes (background via
 	// Options.ScrubEvery plus manual ScrubWAL calls); ScrubError is the
 	// newest pass's damage report, "" while the log audits clean. A
@@ -553,7 +560,8 @@ func (b *backoff) wait() {
 // are logged when reconciliation merges them at the next phase
 // transition — so first wait for the transition's wake and Poll, which
 // reconciles this worker's slices (bounded by the coordinator's phase
-// clock, like the stash wait), then wait on the group-commit watermark.
+// clock, like the stash wait), then wait on the group-commit watermark;
+// the wait makes the log sync at once instead of at its cadence.
 // Concurrent commits share each fsync; a terminal logger failure
 // surfaces here instead of acknowledging a commit that can never be
 // durable.
@@ -591,7 +599,7 @@ func (db *DB) ExecContext(ctx context.Context, fn TxFunc) error {
 	if db.stopped.Load() {
 		return ErrClosed
 	}
-	req := &request{fn: fn, submit: time.Now().UnixNano(), done: make(chan error, 1)}
+	req := &request{fn: fn, submit: engine.Now(), done: make(chan error, 1)}
 	w := int(db.next.Add(1)) % len(db.queues)
 	if ctx.Done() == nil {
 		// Not cancellable (context.Background()): plain channel operations
@@ -630,7 +638,7 @@ func (db *DB) ExecAsync(fn TxFunc, done func(error)) {
 		return
 	}
 	req := asyncRequests.Get().(*request)
-	req.fn, req.submit, req.cb = fn, time.Now().UnixNano(), done
+	req.fn, req.submit, req.cb = fn, engine.Now(), done
 	w := int(db.next.Add(1)) % len(db.queues)
 	db.queues[w] <- req
 }
@@ -772,6 +780,7 @@ func (db *DB) Stats() Stats {
 		if err := db.redo.Err(); err != nil {
 			s.RedoLogError = err.Error()
 		}
+		s.RedoSyncs = db.redo.Syncs()
 		db.scrubMu.Lock()
 		s.ScrubPasses = db.scrubs
 		if db.scrubErr != nil {

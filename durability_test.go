@@ -470,17 +470,14 @@ func TestParallelRecoveryMatchesSequential(t *testing.T) {
 // all of them, leaving a bounded directory.
 func TestSizeRotationWithCheckpointGC(t *testing.T) {
 	dir := t.TempDir()
-	// Size rotation is checked once per group-commit batch, so the test
-	// must keep batches small: SyncCommit makes every Exec wait out its
-	// batch (otherwise a fast loop can land all 500 records in one batch
-	// and rotate once, a scheduling accident). Auto-split off for the
-	// same reason: split writes log only as merged reconciliation
-	// records, too few bytes to rotate.
+	// Commits are asynchronous, so the 500 records may reach the log in
+	// a single group-commit batch; MaxSegmentBytes must still cut it
+	// into 1 KiB segments. Auto-split is off because split writes log
+	// only as merged reconciliation records, too few bytes to rotate.
 	db, err := OpenErr(Options{
 		Workers:         2,
 		RedoLog:         dir,
 		MaxSegmentBytes: 1 << 10,
-		SyncCommit:      true,
 		Engine:          core.Config{DisableAutoSplit: true},
 	})
 	if err != nil {
@@ -516,6 +513,70 @@ func TestSizeRotationWithCheckpointGC(t *testing.T) {
 	if cs.LastSeq < 5 {
 		t.Fatalf("checkpoint rotated to segment %d; size rotation never triggered", cs.LastSeq)
 	}
+}
+
+// TestRedoSyncsGroupCommit: asynchronous commits share group-commit
+// syncs — one per cadence, far fewer than one per commit — while a
+// SyncCommit acknowledgement forces its sync at once instead of waiting
+// for the cadence.
+func TestRedoSyncsGroupCommit(t *testing.T) {
+	t.Run("async", func(t *testing.T) {
+		db, err := OpenErr(Options{Workers: 2, RedoLog: t.TempDir(),
+			Engine: core.Config{DisableAutoSplit: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		n := 0
+		end := time.Now().Add(50 * time.Millisecond)
+		for ; n < 400 || time.Now().Before(end); n++ {
+			key := fmt.Sprintf("k%d", n%64)
+			if err := db.Exec(func(tx Tx) error { return tx.Add(key, 1) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Every commit logged one record; wait for the last to reach disk.
+		deadline := time.Now().Add(10 * time.Second)
+		for db.DurableLSN() < uint64(n) {
+			if time.Now().After(deadline) {
+				t.Fatalf("durable watermark stuck at %d of %d records", db.DurableLSN(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		s := db.Stats()
+		t.Logf("%d commits, %d group-commit syncs", n, s.RedoSyncs)
+		if s.RedoSyncs == 0 || s.RedoSyncs*4 > uint64(n) {
+			t.Fatalf("%d commits took %d group-commit syncs; want a few shared ones", n, s.RedoSyncs)
+		}
+	})
+	t.Run("sync-commit", func(t *testing.T) {
+		restore := wal.SetSyncCadenceForTesting(time.Hour)
+		db, err := OpenErr(Options{Workers: 2, RedoLog: t.TempDir(), SyncCommit: true,
+			Engine: core.Config{DisableAutoSplit: true}})
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No deferred Close: if an acknowledgement is stuck behind the
+		// cadence, Close would wait an hour for its worker too.
+		const n = 5
+		for i := 0; i < n; i++ {
+			done := make(chan error, 1)
+			go func() { done <- db.Exec(func(tx Tx) error { return tx.PutInt("k", int64(i)) }) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a SyncCommit Exec waited for the group-commit cadence")
+			}
+		}
+		if d, s := db.DurableLSN(), db.Stats(); d != n || s.RedoSyncs < n {
+			t.Fatalf("%d acknowledged commits: watermark %d, %d syncs", n, d, s.RedoSyncs)
+		}
+		db.Close()
+	})
 }
 
 // TestRecoveredTIDsStayMonotonic: writes after recovery must generate

@@ -11,8 +11,6 @@
 package atomiceng
 
 import (
-	"time"
-
 	"doppel/internal/engine"
 	"doppel/internal/metrics"
 	"doppel/internal/store"
@@ -72,7 +70,7 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 		return engine.UserAbort, err
 	}
 	ws.stats.Committed++
-	lat := time.Now().UnixNano() - submitNanos
+	lat := engine.Now() - submitNanos
 	if tx.wrote {
 		ws.stats.WriteLatency.Record(lat)
 	} else {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"doppel/internal/engine"
 	"doppel/internal/store"
@@ -13,7 +12,7 @@ import (
 
 func commit(t *testing.T, e *Engine, w int, fn engine.TxFunc) {
 	t.Helper()
-	out, err := e.Attempt(w, fn, time.Now().UnixNano())
+	out, err := e.Attempt(w, fn, engine.Now())
 	if err != nil || out != engine.Committed {
 		t.Fatalf("attempt: %v %v", out, err)
 	}
@@ -86,7 +85,7 @@ func TestBasicOps(t *testing.T) {
 func TestUserErrorSurfaced(t *testing.T) {
 	e := New(store.New(), 1)
 	boom := errors.New("boom")
-	out, err := e.Attempt(0, func(tx engine.Tx) error { return boom }, time.Now().UnixNano())
+	out, err := e.Attempt(0, func(tx engine.Tx) error { return boom }, engine.Now())
 	if out != engine.UserAbort || !errors.Is(err, boom) {
 		t.Fatalf("%v %v", out, err)
 	}
@@ -98,7 +97,7 @@ func TestUserErrorSurfaced(t *testing.T) {
 func TestTypeErrorSurfaced(t *testing.T) {
 	e := New(store.New(), 1)
 	commit(t, e, 0, func(tx engine.Tx) error { return tx.PutBytes("s", []byte("b")) })
-	out, err := e.Attempt(0, func(tx engine.Tx) error { return tx.Add("s", 1) }, time.Now().UnixNano())
+	out, err := e.Attempt(0, func(tx engine.Tx) error { return tx.Add("s", 1) }, engine.Now())
 	if out != engine.UserAbort || err == nil {
 		t.Fatalf("%v %v", out, err)
 	}

@@ -9,7 +9,6 @@ package bench
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"doppel/internal/atomiceng"
 	"doppel/internal/core"
@@ -97,7 +96,7 @@ func runScript(t *testing.T, e engine.Engine, steps []scriptStep, cyclePhases *c
 	t.Helper()
 	for i, s := range steps {
 		for attempt := 0; ; attempt++ {
-			out, err := e.Attempt(0, s.fn, time.Now().UnixNano())
+			out, err := e.Attempt(0, s.fn, engine.Now())
 			if err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}

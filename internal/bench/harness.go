@@ -69,7 +69,7 @@ func RunLoad(e engine.Engine, gen workload.Generator, opt Options) Result {
 			r := rng.New(opt.Seed + uint64(w)*104729 + 11)
 			var retries retryHeap
 			for time.Now().Before(deadline) {
-				now := time.Now().UnixNano()
+				now := engine.Now()
 				var fn engine.TxFunc
 				var submit int64
 				attempt := 0

@@ -38,7 +38,7 @@ func newHarness(t *testing.T, workers int) *harness {
 func (h *harness) commit(w int, fn engine.TxFunc) {
 	h.t.Helper()
 	for i := 0; i < 10000; i++ {
-		out, err := h.db.Attempt(w, fn, time.Now().UnixNano())
+		out, err := h.db.Attempt(w, fn, engine.Now())
 		if err != nil {
 			h.t.Fatalf("attempt: %v", err)
 		}
@@ -242,7 +242,7 @@ func TestIncrementalCutEqualsBarrierState(t *testing.T) {
 				}
 				key := fmt.Sprintf("k%d", (i*13+w)%keys)
 				fn := func(tx engine.Tx) error { return tx.Add(key, 1) }
-				out, err := h.db.Attempt(w, fn, time.Now().UnixNano())
+				out, err := h.db.Attempt(w, fn, engine.Now())
 				if err != nil {
 					t.Error(err)
 					return

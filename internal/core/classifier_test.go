@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"doppel/internal/engine"
 	"doppel/internal/store"
@@ -250,7 +249,7 @@ func TestEndToEndAutoSplitUnderContention(t *testing.T) {
 			// Interleaved committer.
 			mustCommit(t, db, 1, func(tx2 engine.Tx) error { return tx2.Add("hot", 1) })
 			return nil
-		}, time.Now().UnixNano())
+		}, engine.Now())
 		if err != nil {
 			t.Fatal(err)
 		}

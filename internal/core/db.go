@@ -73,7 +73,7 @@ type DB struct {
 	extends      int // consecutive split-phase extensions (coordinator only)
 	phaseChanges atomic.Uint64
 	splitPhases  atomic.Uint64
-	phaseStartNs atomic.Int64
+	phaseStartNs atomic.Int64 // engine.Now() at the current phase's start (monotonic)
 
 	stop    chan struct{}
 	coordWG sync.WaitGroup
@@ -98,7 +98,7 @@ func Open(st *store.Store, cfg Config) *DB {
 	for i := range db.workers {
 		db.workers[i] = newWorker(db, i)
 	}
-	db.phaseStartNs.Store(time.Now().UnixNano())
+	db.phaseStartNs.Store(engine.Now())
 	if cfg.PhaseLength > 0 {
 		db.coordWG.Add(1)
 		go db.coordinate()
@@ -287,7 +287,7 @@ func (db *DB) completeTransition(tr *transition) {
 	db.phaseEpoch.Store(tr.epoch)
 	if !noop {
 		db.phaseChanges.Add(1)
-		db.phaseStartNs.Store(time.Now().UnixNano())
+		db.phaseStartNs.Store(engine.Now())
 	}
 	db.inflight.Store(nil)
 	close(tr.released)
@@ -315,7 +315,7 @@ func (db *DB) coordinate() {
 		if db.inflight.Load() != nil {
 			continue
 		}
-		elapsed := time.Duration(time.Now().UnixNano() - db.phaseStartNs.Load())
+		elapsed := time.Duration(engine.Now() - db.phaseStartNs.Load())
 		switch db.Phase() {
 		case PhaseJoined:
 			if elapsed < db.cfg.PhaseLength {
@@ -325,7 +325,7 @@ func (db *DB) coordinate() {
 			if set.size() == 0 {
 				// Nothing worth splitting: stay joined, reset the timer
 				// so classifier windows stay one phase long.
-				db.phaseStartNs.Store(time.Now().UnixNano())
+				db.phaseStartNs.Store(engine.Now())
 				continue
 			}
 			db.beginTransition(PhaseSplit, set)
@@ -350,7 +350,7 @@ func (db *DB) coordinate() {
 				for _, w := range db.workers {
 					w.sliceWritesPhase.Store(0)
 				}
-				db.phaseStartNs.Store(time.Now().UnixNano())
+				db.phaseStartNs.Store(engine.Now())
 				continue
 			}
 			db.extends = 0

@@ -25,7 +25,7 @@ func manualDB(workers int) *DB {
 func run(t *testing.T, db *DB, w int, fn engine.TxFunc) engine.Outcome {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
-		out, err := db.Attempt(w, fn, time.Now().UnixNano())
+		out, err := db.Attempt(w, fn, engine.Now())
 		if err != nil {
 			t.Fatalf("attempt: %v", err)
 		}
@@ -296,7 +296,7 @@ func TestUserAbortInSplitPhase(t *testing.T) {
 	out, err := db.Attempt(0, func(tx engine.Tx) error {
 		_ = tx.Add("hot", 7)
 		return boom
-	}, time.Now().UnixNano())
+	}, engine.Now())
 	if out != engine.UserAbort || !errors.Is(err, boom) {
 		t.Fatalf("%v %v", out, err)
 	}
@@ -362,7 +362,7 @@ func TestPausedWhileTransitionPending(t *testing.T) {
 	db.RequestSplitPhase()
 	// Worker 0 acks; transition still pending (worker 1 silent), so
 	// worker 0 must observe Paused rather than executing.
-	out, err := db.Attempt(0, func(tx engine.Tx) error { return nil }, time.Now().UnixNano())
+	out, err := db.Attempt(0, func(tx engine.Tx) error { return nil }, engine.Now())
 	if err != nil || out != engine.Paused {
 		t.Fatalf("%v %v", out, err)
 	}
@@ -402,7 +402,7 @@ func TestConcurrentHotAddNoLostUpdates(t *testing.T) {
 			for done < perWorker {
 				out, err := db.Attempt(w, func(tx engine.Tx) error {
 					return tx.Add("hot", 1)
-				}, time.Now().UnixNano())
+				}, engine.Now())
 				if err != nil {
 					t.Error(err)
 					break
@@ -473,7 +473,7 @@ func TestConcurrentMixedWorkloadWithCoordinator(t *testing.T) {
 							return err
 						}
 						return tx.Add("page", 1)
-					}, time.Now().UnixNano())
+					}, engine.Now())
 					if err != nil {
 						t.Error(err)
 						return
@@ -489,7 +489,7 @@ func TestConcurrentMixedWorkloadWithCoordinator(t *testing.T) {
 						}
 						_, err := tx.GetInt(user)
 						return err
-					}, time.Now().UnixNano())
+					}, engine.Now())
 					if err != nil {
 						t.Error(err)
 						return

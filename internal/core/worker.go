@@ -6,7 +6,6 @@ import (
 	"log"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"doppel/internal/engine"
 	"doppel/internal/metrics"
@@ -353,7 +352,7 @@ func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, 
 	case engine.Committed:
 		w.stats.Committed++
 		w.commitsPhase.Add(1)
-		lat := time.Now().UnixNano() - submitNanos
+		lat := engine.Now() - submitNanos
 		if tx.wrote {
 			w.stats.WriteLatency.Record(lat)
 		} else {

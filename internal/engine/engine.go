@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"time"
 
 	"doppel/internal/metrics"
 	"doppel/internal/store"
@@ -137,6 +138,16 @@ type FenceTx interface {
 	SetFenceToken(token uint64)
 }
 
+// processStart anchors Now.
+var processStart = time.Now()
+
+// Now returns monotonic nanoseconds since the process started: the
+// clock of Attempt's submitNanos and of every engine latency and phase
+// timer. Unlike time.Now().UnixNano() it never steps with the wall
+// clock, so an NTP correction can neither stall a phase nor corrupt a
+// latency histogram, and it reads one clock instead of two.
+func Now() int64 { return int64(time.Since(processStart)) }
+
 // Engine is a concurrency-control scheme under test. Worker IDs are
 // 0..Workers()-1; each must be driven from a single goroutine (the
 // paper's one-worker-per-core model).
@@ -145,9 +156,10 @@ type Engine interface {
 	Name() string
 	// Workers returns the configured worker count.
 	Workers() int
-	// Attempt executes fn once as worker w. submitNanos is the time the
-	// logical transaction was first submitted (for latency accounting
-	// across retries). The returned error carries detail for UserAbort.
+	// Attempt executes fn once as worker w. submitNanos is the Now()
+	// reading at which the logical transaction was first submitted (for
+	// latency accounting across retries). The returned error carries
+	// detail for UserAbort.
 	Attempt(w int, fn TxFunc, submitNanos int64) (Outcome, error)
 	// Poll performs background duties for worker w (phase participation
 	// in Doppel; a no-op elsewhere). Harness loops call it when idle.

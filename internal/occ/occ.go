@@ -12,7 +12,6 @@ package occ
 
 import (
 	"errors"
-	"time"
 
 	"doppel/internal/engine"
 	"doppel/internal/metrics"
@@ -88,7 +87,7 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 	switch out {
 	case engine.Committed:
 		ws.stats.Committed++
-		lat := time.Now().UnixNano() - submitNanos
+		lat := engine.Now() - submitNanos
 		if tx.wrote {
 			ws.stats.WriteLatency.Record(lat)
 		} else {

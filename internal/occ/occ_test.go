@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"doppel/internal/engine"
 	"doppel/internal/rng"
@@ -14,7 +13,7 @@ import (
 
 func run(t *testing.T, e *Engine, w int, fn engine.TxFunc) engine.Outcome {
 	t.Helper()
-	out, err := e.Attempt(w, fn, time.Now().UnixNano())
+	out, err := e.Attempt(w, fn, engine.Now())
 	if err != nil {
 		t.Fatalf("attempt error: %v", err)
 	}
@@ -177,7 +176,7 @@ func TestUserAbortSurfaced(t *testing.T) {
 	out, err := e.Attempt(0, func(tx engine.Tx) error {
 		_ = tx.PutInt("x", 1)
 		return myErr
-	}, time.Now().UnixNano())
+	}, engine.Now())
 	if out != engine.UserAbort || !errors.Is(err, myErr) {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
@@ -199,7 +198,7 @@ func TestTypeErrorAtCommitHasNoEffects(t *testing.T) {
 		}
 		// Type error only discovered at apply time: Add to a bytes record.
 		return tx.Add("s", 1)
-	}, time.Now().UnixNano())
+	}, engine.Now())
 	if out != engine.UserAbort || err == nil {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
@@ -226,7 +225,7 @@ func TestConflictingIncrementsNoLostUpdates(t *testing.T) {
 			for done < perWorker {
 				out, err := e.Attempt(w, func(tx engine.Tx) error {
 					return tx.Add("ctr", 1)
-				}, time.Now().UnixNano())
+				}, engine.Now())
 				if err != nil {
 					t.Error(err)
 					return
@@ -298,7 +297,7 @@ func TestTransferInvariant(t *testing.T) {
 						return err
 					}
 					return tx.PutInt(to, b2+amt)
-				}, time.Now().UnixNano())
+				}, engine.Now())
 				if err != nil {
 					t.Error(err)
 					return
@@ -339,7 +338,7 @@ func TestReadOnlyValidationAborts(t *testing.T) {
 		// Concurrent writer commits between our read and our commit.
 		mustCommit(t, e, 1, func(tx2 engine.Tx) error { return tx2.PutInt("k", 2) })
 		return nil
-	}, time.Now().UnixNano())
+	}, engine.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,9 +366,9 @@ func TestWriteSkewPrevented(t *testing.T) {
 			x2, _ := tx2.GetInt("x")
 			y2, _ := tx2.GetInt("y")
 			return tx2.PutInt("x", x2+y2)
-		}, time.Now().UnixNano())
+		}, engine.Now())
 		return tx.PutInt("y", x+y)
-	}, time.Now().UnixNano())
+	}, engine.Now())
 
 	if out1 != engine.Committed {
 		t.Fatalf("inner should commit, got %v", out1)

@@ -62,7 +62,7 @@ func TestKeysDistinct(t *testing.T) {
 func commit(t *testing.T, e engine.Engine, w int, fn engine.TxFunc) {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
-		out, err := e.Attempt(w, fn, time.Now().UnixNano())
+		out, err := e.Attempt(w, fn, engine.Now())
 		if err != nil {
 			t.Fatalf("user error: %v", err)
 		}
@@ -264,7 +264,7 @@ func TestBidConservationUnderDoppel(t *testing.T) {
 			for count < 3000 {
 				item := int64(r.Intn(5))
 				amt := int64(1 + r.Intn(1_000_000))
-				ts := time.Now().UnixNano()
+				ts := engine.Now()
 				out, err := db.Attempt(w, func(tx engine.Tx) error {
 					return app.StoreBidDoppel(tx, w, int64(r.Intn(100)), item, amt, ts)
 				}, ts)
@@ -341,7 +341,7 @@ func TestMixRunsUnder2PL(t *testing.T) {
 			r := rng.New(uint64(w) + 3)
 			for i := 0; i < 2000; i++ {
 				fn, _ := mix.Next(w, r)
-				if _, err := e.Attempt(w, fn, time.Now().UnixNano()); err != nil {
+				if _, err := e.Attempt(w, fn, engine.Now()); err != nil {
 					t.Errorf("2PL mix error: %v", err)
 					return
 				}

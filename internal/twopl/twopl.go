@@ -18,7 +18,6 @@ package twopl
 
 import (
 	"fmt"
-	"time"
 
 	"doppel/internal/engine"
 	"doppel/internal/metrics"
@@ -85,7 +84,7 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 		return engine.UserAbort, err
 	}
 	ws.stats.Committed++
-	lat := time.Now().UnixNano() - submitNanos
+	lat := engine.Now() - submitNanos
 	if tx.wrote {
 		ws.stats.WriteLatency.Record(lat)
 	} else {

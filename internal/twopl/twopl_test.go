@@ -14,7 +14,7 @@ import (
 
 func commit(t *testing.T, e *Engine, w int, fn engine.TxFunc) {
 	t.Helper()
-	out, err := e.Attempt(w, fn, time.Now().UnixNano())
+	out, err := e.Attempt(w, fn, engine.Now())
 	if err != nil {
 		t.Fatalf("attempt error: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestLockUpgradeRejected(t *testing.T) {
 			return err
 		}
 		return tx.Add("k", 1) // read→write upgrade
-	}, time.Now().UnixNano())
+	}, engine.Now())
 	if out != engine.UserAbort || !errors.Is(err, engine.ErrUnsupported) {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
@@ -144,7 +144,7 @@ func TestUserAbortReleasesLocksNoEffects(t *testing.T) {
 	out, err := e.Attempt(0, func(tx engine.Tx) error {
 		_ = tx.PutInt("x", 99)
 		return boom
-	}, time.Now().UnixNano())
+	}, engine.Now())
 	if out != engine.UserAbort || !errors.Is(err, boom) {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
@@ -165,7 +165,7 @@ func TestTypeErrorAtCommitNoPartialEffects(t *testing.T) {
 			return err
 		}
 		return tx.Add("s", 1) // type error surfaces at commit
-	}, time.Now().UnixNano())
+	}, engine.Now())
 	if out != engine.UserAbort || err == nil {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
@@ -189,7 +189,7 @@ func TestNeverAbortsUnderContention(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				out, err := e.Attempt(w, func(tx engine.Tx) error {
 					return tx.Add("ctr", 1)
-				}, time.Now().UnixNano())
+				}, engine.Now())
 				if err != nil || out != engine.Committed {
 					t.Errorf("2PL should never abort: %v %v", out, err)
 					return
@@ -257,7 +257,7 @@ func TestTransferInvariantOrderedAccess(t *testing.T) {
 						return err
 					}
 					return tx.PutInt(hi, b2+1)
-				}, time.Now().UnixNano())
+				}, engine.Now())
 				if err != nil || out != engine.Committed {
 					t.Errorf("transfer failed: %v %v", out, err)
 					return
@@ -296,7 +296,7 @@ func TestConcurrentReadersShareLock(t *testing.T) {
 			close(started)
 			<-release
 			return nil
-		}, time.Now().UnixNano())
+		}, engine.Now())
 	}()
 	<-started
 	done := make(chan struct{})

@@ -21,9 +21,30 @@
 // hot path). Records carry a CRC so torn tails are detected and ignored
 // at replay.
 //
+// # Group-commit pacing
+//
+// The committer writes and syncs a pending batch at once when something
+// needs it on disk: a WaitDurable caller beyond the watermark (which is
+// how synchronous commits and AppendSync wait), a queued Rotate, Close,
+// or 1 MiB of pending bytes. Otherwise it lets the batch gather records
+// until 2 ms (the cadence) after the previous sync, so asynchronous
+// commits share one write and one fsync per cadence rather than paying
+// one per committer round trip. An idle logger stays idle: the committer
+// sleeps on its condition variable, and its one reused pace timer is
+// armed only while a batch is pending. The write is deferred together
+// with the sync, so the bytes in the segment files are the durable
+// bytes plus at most the one batch being synced: a follower tailing the
+// directory sees no more than it did with back-to-back syncs. The price
+// is bounded: with nobody waiting, a record reaches disk — and a write
+// failure behind it is detected, engaging fail-stop — within the
+// cadence plus two batch writes and fsyncs of its append (the batch in
+// flight at the time, then its own), and a follower's staleness grows
+// by at most the cadence.
+//
 // Segments seal two ways: checkpoints call Rotate at a quiesced
-// barrier, and Options.MaxSegmentBytes seals a segment as soon as its
-// size crosses the threshold, between group commits. Either way the
+// barrier, and Options.MaxSegmentBytes seals a segment when the next
+// record would pass the budget, cutting a group commit at a record
+// boundary and continuing it in the next segment. Either way the
 // sealed segment's metadata is published in the manifest, Install
 // publishes a snapshot and garbage-collects the segments (and
 // metadata) the snapshot subsumes, and recovery replays only segments
@@ -35,8 +56,9 @@
 //     record's commit lock while submitting its redo record, so records
 //     touching one key enter the log in strictly increasing TID order.
 //     Recovery's highest-TID-wins replay depends on this.
-//   - Segment boundaries fall on record boundaries: rotation (explicit
-//     or size-based) happens only between group commits.
+//   - Segment boundaries fall on record boundaries: explicit rotation
+//     happens between group commits, size-based rotation where the
+//     committer cuts a batch between two records.
 //   - Torn-tail trim rule: reopening an existing directory never
 //     truncates acknowledged data. Only bytes past the last valid
 //     record of the newest segment — bytes that were never part of a

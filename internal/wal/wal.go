@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Op is one redo operation: set key to value. Doppel's commutative
@@ -79,12 +80,44 @@ type Options struct {
 	MaxSegmentBytes int64
 }
 
+// groupCommitCadence is how long the committer lets a batch gather
+// records when nothing needs it on disk yet: a pending batch is written
+// and synced at once on demand (a WaitDurable caller, a Rotate, Close,
+// or maxPendingBytes of backlog) and otherwise no sooner than this long
+// after the previous sync. It bounds the asynchronous durability lag —
+// a record nobody waits for reaches disk within the cadence plus two
+// batch writes and fsyncs (the one in flight at its append, then its
+// own) — and so also a follower's staleness.
+const groupCommitCadence = 2 * time.Millisecond
+
+// maxPendingBytes forces a sync once this much is buffered, bounding
+// the batch buffers and the size of any single write.
+const maxPendingBytes = 1 << 20
+
+// cadenceOverride, when positive, replaces groupCommitCadence for
+// loggers opened afterwards; see SetSyncCadenceForTesting.
+var cadenceOverride atomic.Int64
+
+// SetSyncCadenceForTesting makes loggers opened after the call pace
+// undemanded syncs at d instead of the built-in cadence, and returns a
+// function that restores the default. Tests set an hour to prove that
+// waiters, Rotate and Close never wait for the cadence.
+func SetSyncCadenceForTesting(d time.Duration) (restore func()) {
+	cadenceOverride.Store(int64(d))
+	return func() { cadenceOverride.Store(0) }
+}
+
 // Logger is an asynchronous group-commit redo logger over a segment
 // directory. Appenders submit pre-encoded records and receive a log
 // sequence number (LSN); a single committer goroutine writes and fsyncs
 // everything that accumulated since its last write as one batch, then
 // publishes the batch's highest LSN as the durability watermark
-// (Durable) and wakes WaitDurable waiters with a single broadcast.
+// (Durable) and wakes WaitDurable waiters with a single broadcast. The
+// committer syncs on demand — a WaitDurable caller beyond the
+// watermark, a Rotate, Close, or maxPendingBytes of backlog — and
+// otherwise paces undemanded batches at one sync per cadence, so a
+// stream of asynchronous commits shares one fsync per cadence instead
+// of one per committer round trip.
 type Logger struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // wakes the committer
@@ -94,6 +127,7 @@ type Logger struct {
 	bufLSN  uint64     // LSN of the last record in buf
 	bufMeta SegmentMeta
 	lastLSN uint64 // last assigned LSN
+	wantLSN uint64 // highest assigned LSN a WaitDurable caller has asked for
 	// durPos is the durable byte position: everything before it has been
 	// written and fsynced. It is the cross-process analogue of the
 	// durable LSN watermark — LSNs are session-local counters, but a
@@ -107,6 +141,15 @@ type Logger struct {
 
 	durable atomic.Uint64 // highest LSN known synced to disk
 	failed  atomic.Bool   // mirrors termErr != nil; lock-free for hot-path checks
+	syncs   atomic.Uint64 // group-commit writes synced to disk
+
+	// cadence, lastSync and pace belong to the committer: the pacing
+	// interval, when the previous batch reached disk, and the one timer
+	// that wakes a pacing committer (created on first use, stopped
+	// whenever no batch is pending).
+	cadence  time.Duration
+	lastSync time.Time
+	pace     *time.Timer
 
 	dir     string
 	opts    Options
@@ -211,7 +254,11 @@ func openWith(dir string, openSeg openSegFunc, opts Options) (*Logger, error) {
 	syncDir(dir)
 	l := &Logger{dir: dir, opts: opts, openSeg: openSeg, lock: lock, f: f, seq: seq,
 		man: man, curBytes: curBytes, curMeta: curMeta,
-		durPos: Position{Seq: seq, Offset: curBytes}}
+		durPos:  Position{Seq: seq, Offset: curBytes},
+		cadence: groupCommitCadence, lastSync: time.Now()}
+	if d := cadenceOverride.Load(); d > 0 {
+		l.cadence = time.Duration(d)
+	}
 	l.cond = sync.NewCond(&l.mu)
 	l.durCond = sync.NewCond(&l.mu)
 	l.wg.Add(1)
@@ -237,7 +284,8 @@ func (l *Logger) SegmentSeq() uint64 {
 // buffer immediately; in steady state Append allocates nothing and
 // never blocks on I/O. Durability is observed separately: the record is
 // durable once Durable() reaches the returned LSN, and WaitDurable
-// blocks until it does. An error return means the record was refused
+// blocks until it does (and makes the committer sync now rather than at
+// its next cadence tick). An error return means the record was refused
 // (the logger is closed or terminally failed) and no LSN was assigned.
 func (l *Logger) Append(frame []byte, tid uint64) (uint64, error) {
 	l.mu.Lock()
@@ -254,14 +302,21 @@ func (l *Logger) Append(frame []byte, tid uint64) (uint64, error) {
 	l.buf = append(l.buf, frame...)
 	l.bufLSN = lsn
 	l.bufMeta.extendTID(tid)
-	l.cond.Signal()
+	// Only the first record of a batch and a backlog past the byte cap
+	// change what the committer is waiting for; a pacing committer
+	// sleeps through the records in between.
+	if n := len(l.buf); n == len(frame) || n >= maxPendingBytes {
+		l.cond.Signal()
+	}
 	l.mu.Unlock()
 	return lsn, nil
 }
 
 // Durable returns the durability watermark: every record whose LSN is
 // at or below it has been written and fsynced. It is a single atomic
-// load, advanced once per group-commit batch.
+// load, advanced once per group-commit batch. With nobody waiting, it
+// reaches an append's LSN within the group-commit cadence plus two
+// batch writes and fsyncs.
 func (l *Logger) Durable() uint64 { return l.durable.Load() }
 
 // DurablePosition returns the durable byte position: every byte of the
@@ -279,7 +334,9 @@ func (l *Logger) DurablePosition() Position {
 }
 
 // WaitDurable blocks until the record with log sequence number lsn is
-// durable, i.e. its group commit has been written and fsynced. A nil
+// durable, i.e. its group commit has been written and fsynced. A
+// blocked caller is demand: the committer syncs its batch at once
+// instead of waiting out the cadence. A nil
 // return is the durability acknowledgement: the record survives any
 // subsequent crash and reopen. After a terminal logger failure,
 // WaitDurable still returns nil for LSNs at or below the watermark
@@ -293,6 +350,10 @@ func (l *Logger) WaitDurable(lsn uint64) error {
 		return nil
 	}
 	l.mu.Lock()
+	if want := min(lsn, l.lastLSN); want > l.wantLSN {
+		l.wantLSN = want
+		l.cond.Signal()
+	}
 	for l.durable.Load() < lsn && l.termErr == nil && !l.commDone {
 		l.durCond.Wait()
 	}
@@ -349,6 +410,9 @@ func (l *Logger) Rotate() (uint64, error) {
 // any remaining WaitDurable waiter is woken to observe its fate.
 func (l *Logger) committer() {
 	defer func() {
+		if l.pace != nil {
+			l.pace.Stop()
+		}
 		l.mu.Lock()
 		l.commDone = true
 		l.durCond.Broadcast()
@@ -360,6 +424,7 @@ func (l *Logger) committer() {
 		for len(l.buf) == 0 && l.rot == nil && !l.closed {
 			l.cond.Wait()
 		}
+		l.awaitDemand()
 		// Swap the fill buffer for the recycled one so appenders keep
 		// writing while this batch is on its way to disk; the pair is
 		// reused forever, so the steady-state commit path allocates
@@ -397,6 +462,7 @@ func (l *Logger) committer() {
 			// committer-owned, so reading it outside the lock is safe; the
 			// durable position itself is published under mu alongside the
 			// watermark broadcast.
+			l.lastSync = time.Now()
 			l.durable.Store(batchLSN)
 			l.mu.Lock()
 			l.spare = batch[:0]
@@ -420,6 +486,39 @@ func (l *Logger) committer() {
 			return
 		}
 	}
+}
+
+// awaitDemand holds a pending batch until something needs it on disk —
+// a WaitDurable caller beyond the watermark, a queued Rotate, Close, or
+// maxPendingBytes of backlog — or until the cadence has passed since
+// the previous sync. The pace timer is armed only while it waits, and
+// Reset reuses it, so pacing allocates nothing. It runs on the
+// committer goroutine with mu held; cond.Wait releases mu, so appends
+// keep landing in the batch meanwhile.
+func (l *Logger) awaitDemand() {
+	for l.rot == nil && !l.closed && l.wantLSN <= l.durable.Load() && len(l.buf) < maxPendingBytes {
+		wait := l.cadence - time.Since(l.lastSync)
+		if wait <= 0 {
+			break
+		}
+		if l.pace == nil {
+			l.pace = time.AfterFunc(wait, l.wakeCommitter)
+		} else {
+			l.pace.Reset(wait)
+		}
+		l.cond.Wait()
+	}
+	if l.pace != nil {
+		l.pace.Stop()
+	}
+}
+
+// wakeCommitter is the pace timer's callback. Taking mu orders it
+// after the committer's cond.Wait, so the wakeup cannot be lost.
+func (l *Logger) wakeCommitter() {
+	l.mu.Lock()
+	l.cond.Signal()
+	l.mu.Unlock()
 }
 
 // fail marks the logger terminally broken: appends error out
@@ -565,6 +664,7 @@ func (l *Logger) writeBudgeted(f segFile, batch []byte, meta SegmentMeta) error 
 			if err := writeBatch(f, batch[:n]); err != nil {
 				return err
 			}
+			l.syncs.Add(1)
 			l.curBytes += int64(n)
 			l.curMeta.merge(m)
 			batch = batch[n:]
@@ -739,6 +839,11 @@ func (l *Logger) Err() error {
 	defer l.mu.Unlock()
 	return l.termErr
 }
+
+// Syncs returns how many group-commit writes the logger has synced to
+// disk: one per batch, plus one per extra segment a MaxSegmentBytes cut
+// spreads a batch over.
+func (l *Logger) Syncs() uint64 { return l.syncs.Load() }
 
 // Failed reports whether the logger has failed terminally. It is a
 // single atomic load, cheap enough for the engine to consult on every

@@ -3,7 +3,6 @@ package workload
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"doppel/internal/engine"
 	"doppel/internal/occ"
@@ -32,7 +31,7 @@ func TestKeySpace(t *testing.T) {
 func exec(t *testing.T, e *occ.Engine, fn engine.TxFunc) {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
-		out, err := e.Attempt(0, fn, time.Now().UnixNano())
+		out, err := e.Attempt(0, fn, engine.Now())
 		if err != nil {
 			t.Fatalf("user error: %v", err)
 		}

@@ -21,12 +21,21 @@ type Options struct {
 	Engine core.Config
 	// RedoLog, when non-empty, names a durability directory and enables
 	// asynchronous group-commit redo logging into it (the durability
-	// design the paper cites as future work). The directory holds
-	// numbered WAL segments, snapshot files and a MANIFEST; use Recover
-	// to rebuild a database from it. Reopening an existing directory
-	// appends — it never truncates logged data. The directory is also
-	// the replication feed: OpenFollower tails it to serve read
-	// replicas, with no further primary-side configuration.
+	// design the paper cites as future work). Commits are acknowledged
+	// from memory. Their redo records reach disk in group commits,
+	// synced at once when someone waits on them (SyncCommit, a
+	// checkpoint, Close) and otherwise at most every 2 ms: an
+	// acknowledged commit becomes durable, and a disk failure behind it
+	// visible to WALFailStop, within 2 ms plus two batch fsyncs (the
+	// one in flight at the commit, then its own).
+	// Followers apply only what the log has synced, so they see a commit
+	// up to that long after its acknowledgement.
+	//
+	// The directory holds numbered WAL segments, snapshot files and a
+	// MANIFEST; use Recover to rebuild a database from it. Reopening an
+	// existing directory appends — it never truncates logged data. The
+	// directory is also the replication feed: OpenFollower tails it to
+	// serve read replicas, with no further primary-side configuration.
 	//
 	// For OpenCluster the value is a per-shard template that must
 	// contain a %d verb (e.g. "data/shard-%d"): each shard logs and
@@ -69,6 +78,8 @@ type Options struct {
 	// log's group-commit watermark, so concurrent transactions share
 	// fsyncs — throughput degrades far less than one fsync per commit —
 	// but each acknowledgement pays up to one group-commit latency. A
+	// waiting acknowledgement makes the log sync at once: it never waits
+	// for the 2 ms cadence that paces asynchronous commits. A
 	// split-phase commutative write costs more: its redo record is
 	// written only when reconciliation merges the per-core slices, so
 	// the acknowledgement additionally waits for the next phase

@@ -50,21 +50,29 @@ func scrubDB(t *testing.T, opts Options) (*DB, string) {
 	opts.Workers = 1
 	opts.RedoLog = dir
 	opts.MaxSegmentBytes = 256
-	// Size rotation is checked between group commits; without SyncCommit
-	// every Exec below could be acknowledged into one still-buffered
-	// batch and no segment would ever seal.
-	opts.SyncCommit = true
 	db, err := OpenErr(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(db.Close)
-	for i := 0; i < 60; i++ {
+	const records = 60
+	for i := 0; i < records; i++ {
 		if err := db.Exec(func(tx Tx) error {
 			return tx.PutBytes("key-with-some-length", []byte("value-padding-to-force-rotation"))
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The commits were acknowledged from memory and may still sit in one
+	// pending group-commit batch; scrubbing needs them on disk, cut into
+	// sealed segments. Each Exec logged one record, so the log is
+	// complete once the watermark reaches the record count.
+	deadline := time.Now().Add(10 * time.Second)
+	for db.DurableLSN() < records {
+		if time.Now().After(deadline) {
+			t.Fatalf("durable watermark stuck at %d of %d records", db.DurableLSN(), records)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	return db, dir
 }
