@@ -12,7 +12,6 @@ package doppel_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -338,13 +337,10 @@ func BenchmarkCheckpointBarrier1k(b *testing.B)   { benchCheckpointBarrier(b, 1_
 func BenchmarkCheckpointBarrier10k(b *testing.B)  { benchCheckpointBarrier(b, 10_000) }
 func BenchmarkCheckpointBarrier100k(b *testing.B) { benchCheckpointBarrier(b, 100_000) }
 
-// benchRecoverParallel measures Recover over a size-rotated,
-// multi-segment log (with a mid-run checkpoint, so a snapshot plus a
-// segment tail both exist) at a given parallelism. Compare par=1 with
-// par=N for the parallel-replay speedup (visible on multi-core hosts)
-// and the overlapped variant for the snapshot/segment overlap win.
-func benchRecoverParallel(b *testing.B, parallelism int, overlap bool) {
-	b.Helper()
+// BenchmarkRecoverSegments measures Recover over a size-rotated,
+// multi-segment log with a mid-run checkpoint, so the snapshot load and
+// the replay of several segments run concurrently.
+func BenchmarkRecoverSegments(b *testing.B) {
 	dir := b.TempDir()
 	db, err := doppel.OpenErr(doppel.Options{Workers: 2, RedoLog: dir, MaxSegmentBytes: 64 << 10})
 	if err != nil {
@@ -373,9 +369,7 @@ func benchRecoverParallel(b *testing.B, parallelism int, overlap bool) {
 	db.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := doppel.Recover(dir, doppel.Options{
-			Workers: 2, RecoveryParallelism: parallelism, RecoveryOverlap: overlap,
-		})
+		rec, err := doppel.Recover(dir, doppel.Options{Workers: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -387,14 +381,6 @@ func benchRecoverParallel(b *testing.B, parallelism int, overlap bool) {
 		rec.Close()
 		b.StartTimer()
 	}
-}
-
-func BenchmarkRecoverSegmentsSequential(b *testing.B) { benchRecoverParallel(b, 1, false) }
-func BenchmarkRecoverSegmentsParallel(b *testing.B) {
-	benchRecoverParallel(b, runtime.GOMAXPROCS(0), false)
-}
-func BenchmarkRecoverSegmentsOverlapped(b *testing.B) {
-	benchRecoverParallel(b, runtime.GOMAXPROCS(0), true)
 }
 
 // BenchmarkRecoverFullReplay measures Recover with no checkpoint: the

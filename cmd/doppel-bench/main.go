@@ -12,7 +12,6 @@
 //	doppel-bench -net -duration 2s           # network protocol: blocking vs pipelined
 //	doppel-bench -recovery -txns 50000       # recovery time: full replay vs after a checkpoint
 //	doppel-bench -checkpoint                 # checkpoint cost vs store size (barrier/walk/alloc)
-//	doppel-bench -throughput -duration 2s    # steady-state ops/sec + allocs/op, joined vs split mixes
 //	doppel-bench -replication -duration 2s   # replication lag vs write throughput with a WAL-tailing follower
 //	doppel-bench -recovery -json             # additionally write BENCH_recovery.json
 package main
@@ -40,7 +39,6 @@ import (
 	"doppel/internal/server"
 	"doppel/internal/store"
 	"doppel/internal/twopl"
-	"doppel/internal/wal"
 	"doppel/internal/workload"
 )
 
@@ -54,31 +52,24 @@ func main() {
 	netMode := flag.Bool("net", false, "run the networked INCR1 benchmark: blocking vs pipelined on one connection")
 	recovery := flag.Bool("recovery", false, "measure recovery time: full WAL replay vs bounded replay after a checkpoint")
 	ckptMode := flag.Bool("checkpoint", false, "measure checkpoint cost (barrier, walk, allocation) across store sizes")
-	tputMode := flag.Bool("throughput", false, "measure steady-state transaction throughput, latency and allocs/op across phase mixes")
 	replMode := flag.Bool("replication", false, "measure replication lag vs write throughput with a WAL-tailing follower")
-	jsonOut := flag.Bool("json", false, "recovery/checkpoint modes: also write machine-readable BENCH_<mode>.json")
+	jsonOut := flag.Bool("json", false, "recovery/checkpoint/replication modes: also write machine-readable BENCH_<mode>.json")
 	txns := flag.Int("txns", 50_000, "recovery mode: transactions to log before measuring")
 	segBytes := flag.Int64("segment-bytes", 128<<10, "recovery mode: WAL segment size (small values force a multi-segment log)")
-	recoveryPar := flag.Int("recovery-parallelism", runtime.GOMAXPROCS(0), "recovery mode: parallelism for the parallel-replay row")
 	addr := flag.String("addr", "", "net mode: benchmark an already-running server instead of an in-process one")
 	inflight := flag.Int("inflight", 128, "net mode: pipelined requests kept in flight")
 	flush := flag.Duration("flush", 0, "net mode: server/client flush interval (0 flushes when idle)")
 	hot := flag.Float64("hot", 1.0, "real/net mode: fraction of transactions on the hot key")
 	duration := flag.Duration("duration", time.Second, "real/net mode: run duration per engine")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "real/net mode: worker count")
-	shards := flag.Int("shards", 0, "throughput mode: additionally measure a sharded cluster with this many shards (0 skips the sharded-* rows)")
 	flag.Parse()
 
-	if *tputMode {
-		runThroughput(*workers, *duration, *jsonOut, *shards)
-		return
-	}
 	if *replMode {
 		runReplication(*duration, *jsonOut)
 		return
 	}
 	if *recovery {
-		runRecovery(*txns, *workers, *segBytes, *recoveryPar, *jsonOut)
+		runRecovery(*txns, *workers, *segBytes, *jsonOut)
 		return
 	}
 	if *ckptMode {
@@ -236,22 +227,12 @@ type benchRow struct {
 	Segments        int    `json:"segments,omitempty"`
 	Records         int    `json:"records,omitempty"`
 	SnapshotEntries int    `json:"snapshot_entries,omitempty"`
-	Overlapped      bool   `json:"overlapped,omitempty"`
 	StoreRecords    int    `json:"store_records,omitempty"`
 	BarrierNS       int64  `json:"barrier_ns,omitempty"`
 	WalkNS          int64  `json:"walk_ns,omitempty"`
 	SnapshotBytes   int64  `json:"snapshot_bytes,omitempty"`
 	AllocBytes      uint64 `json:"alloc_bytes,omitempty"`
 	COWSaves        int    `json:"cow_saves,omitempty"`
-	// Throughput-mode fields. Deliberately not omitempty: CI asserts
-	// their presence on every throughput row, and a legitimate measured
-	// zero (the target for allocs/op) must not make the key vanish.
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	Committed   uint64  `json:"committed"`
-	Stashed     uint64  `json:"stashed"`
-	P50NS       int64   `json:"p50_ns"`
-	P99NS       int64   `json:"p99_ns"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // benchReport is the BENCH_<mode>.json document: enough context to
@@ -442,280 +423,12 @@ func runReplication(dur time.Duration, jsonOut bool) {
 	}
 }
 
-// runThroughput measures the transaction hot path in steady state —
-// the headline number the commit-path work optimizes. Four mixes cover
-// the phase model's main shapes:
-//
-//   - joined-uniform: INCR1 over uniformly random keys with no
-//     coordinator — every commit takes the joined-phase OCC path. Run
-//     twice, without and with redo logging, so the logging overhead is
-//     its own row.
-//   - split-incr1-redo: INCR1 with 100% of increments on one hinted hot
-//     key under the default coordinator — split phases dominate and most
-//     commits take the per-core-slice fast path, reconciliation merges
-//     carry the redo records.
-//   - like-mix-redo: the paper's LIKE shape, 50% reads / 50%
-//     user-put+page-add writes over Zipfian pages — a mixed workload
-//     with stashes, the classifier live, and redo logging on.
-//
-// Alongside ops/sec and p50/p99 commit latency, each row reports heap
-// allocations per committed transaction measured as a MemStats.Mallocs
-// delta over the whole run — end to end, workload generation included,
-// so regressions anywhere on the path show up.
-//
-// With -shards N, three sharded-* rows follow (see runSharded): the
-// embedded single-DB baseline and the N-shard cluster, driven through
-// the public Exec API with the same total worker budget, so the
-// sharded-uniform / sharded-1db ratio isolates the router's overhead.
-func runThroughput(workers int, dur time.Duration, jsonOut bool, shards int) {
-	const keys = 100_000
-	ks := workload.NewKeySpace('k', keys)
-
-	fmt.Printf("# steady-state throughput: %d workers, %v per mix\n", workers, dur)
-	fmt.Printf("%-22s %12s %12s %10s %10s %10s %10s\n",
-		"mode", "txn/s", "committed", "p50", "p99", "allocs/op", "stashed")
-	var rows []benchRow
-
-	run := func(mode string, redo bool, cfg core.Config, gen workload.Generator, hint string) {
-		st := store.New()
-		for i := 0; i < keys; i++ {
-			st.Preload(ks.Key(i), store.IntValue(0))
-		}
-		var logger *wal.Logger
-		if redo {
-			dir, err := os.MkdirTemp("", "doppel-throughput-")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			logger, err = wal.Open(dir)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Redo = logger
-		}
-		db := core.Open(st, cfg)
-		if hint != "" {
-			db.SplitHint(hint, store.OpAdd)
-		}
-		runtime.GC()
-		var m1, m2 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		res := bench.RunLoad(db, gen, bench.Options{Duration: dur, Seed: 1})
-		runtime.ReadMemStats(&m2)
-		db.Close()
-		if logger != nil {
-			if err := logger.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		lat := metrics.NewHist()
-		lat.Merge(res.Stats.ReadLatency)
-		lat.Merge(res.Stats.WriteLatency)
-		allocsPerOp := 0.0
-		if res.Stats.Committed > 0 {
-			allocsPerOp = float64(m2.Mallocs-m1.Mallocs) / float64(res.Stats.Committed)
-		}
-		fmt.Printf("%-22s %12.0f %12d %10v %10v %10.2f %10d\n",
-			mode, res.Throughput, res.Stats.Committed,
-			time.Duration(lat.Quantile(0.5)), time.Duration(lat.Quantile(0.99)),
-			allocsPerOp, res.Stats.Stashed)
-		rows = append(rows, benchRow{
-			Mode: mode, NS: res.Elapsed.Nanoseconds(),
-			OpsPerSec: res.Throughput, Committed: res.Stats.Committed,
-			Stashed: res.Stats.Stashed,
-			P50NS:   lat.Quantile(0.5), P99NS: lat.Quantile(0.99),
-			AllocsPerOp: allocsPerOp,
-		})
-	}
-
-	joined := core.DefaultConfig(workers)
-	joined.PhaseLength = 0 // no coordinator: every commit is joined-phase OCC
-	uniform := &workload.Incr1{Keys: ks, HotKey: 0, HotFrac: 0}
-	run("joined-uniform", false, joined, uniform, "")
-	run("joined-uniform-redo", true, joined, uniform, "")
-
-	split := core.DefaultConfig(workers)
-	hot := &workload.Incr1{Keys: ks, HotKey: 0, HotFrac: 1.0}
-	run("split-incr1-redo", true, split, hot, ks.Key(0))
-
-	like := core.DefaultConfig(workers)
-	users := workload.NewKeySpace('u', keys)
-	z := workload.NewZipf(keys, 1.4)
-	run("like-mix-redo", true, like,
-		&workload.Like{Users: users, Pages: ks, PageZipf: z, WriteFrac: 0.5}, "")
-
-	if shards > 1 {
-		rows = append(rows, runSharded(shards, workers, dur)...)
-	}
-
-	if jsonOut {
-		writeBenchJSON(benchReport{
-			Mode: "throughput",
-			Config: map[string]string{
-				"workers":  fmt.Sprint(workers),
-				"keys":     fmt.Sprint(keys),
-				"duration": dur.String(),
-				"shards":   fmt.Sprint(shards),
-			},
-			Rows: rows,
-		})
-	}
-}
-
-// runSharded measures the cluster API end to end through Exec, against
-// an embedded single DB driven the same way with the same total worker
-// budget:
-//
-//   - sharded-1db: one DB, totalWorkers workers — the baseline.
-//   - sharded-uniform: the cluster under a uniformly random single-key
-//     workload, so (nearly) every transaction takes the router's
-//     single-shard fast path. Its per-total-worker throughput against
-//     sharded-1db is the router tax.
-//   - sharded-cross: the same cluster with 10% of transactions touching
-//     two keys on different shards — those pay an aborted probe attempt
-//     plus a full two-phase commit.
-//
-// Throughput counts completed Exec calls on the client side (for the
-// cross row, engine-level commit counters also include the 2PC's
-// internal read and apply transactions, which are cost, not work).
-func runSharded(shards, workers int, dur time.Duration) []benchRow {
-	const keys = 100_000
-	ks := workload.NewKeySpace('k', keys)
-	perShard := workers / shards
-	if perShard < 1 {
-		perShard = 1
-	}
-	totalWorkers := perShard * shards
-	clients := 4 * totalWorkers
-
-	fmt.Printf("# sharded cluster: %d shards x %d workers vs 1 db x %d workers, %d client goroutines\n",
-		shards, perShard, totalWorkers, clients)
-
-	measure := func(mode string, exec func(doppel.TxFunc) error, mk func(*rng.Rand) doppel.TxFunc) benchRow {
-		hists := make([]*metrics.Hist, clients)
-		counts := make([]uint64, clients)
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		runtime.GC()
-		var m1, m2 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		begin := time.Now()
-		for c := 0; c < clients; c++ {
-			hists[c] = metrics.NewHist()
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				r := rng.New(uint64(1000 + c))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					fn := mk(r)
-					start := time.Now()
-					if err := exec(fn); err != nil {
-						log.Fatal(err)
-					}
-					hists[c].Record(time.Since(start).Nanoseconds())
-					counts[c]++
-				}
-			}(c)
-		}
-		time.Sleep(dur)
-		close(stop)
-		wg.Wait()
-		elapsed := time.Since(begin)
-		runtime.ReadMemStats(&m2)
-		lat := metrics.NewHist()
-		var done uint64
-		for c := 0; c < clients; c++ {
-			lat.Merge(hists[c])
-			done += counts[c]
-		}
-		allocsPerOp := 0.0
-		if done > 0 {
-			allocsPerOp = float64(m2.Mallocs-m1.Mallocs) / float64(done)
-		}
-		tput := float64(done) / elapsed.Seconds()
-		fmt.Printf("%-22s %12.0f %12d %10v %10v %10.2f %10d\n",
-			mode, tput, done,
-			time.Duration(lat.Quantile(0.5)), time.Duration(lat.Quantile(0.99)),
-			allocsPerOp, 0)
-		return benchRow{
-			Mode: mode, NS: elapsed.Nanoseconds(),
-			OpsPerSec: tput, Committed: done,
-			P50NS: lat.Quantile(0.5), P99NS: lat.Quantile(0.99),
-			AllocsPerOp: allocsPerOp,
-		}
-	}
-
-	uniform := func(r *rng.Rand) doppel.TxFunc {
-		key := ks.Key(r.Intn(keys))
-		return func(tx doppel.Tx) error { return tx.Add(key, 1) }
-	}
-
-	var rows []benchRow
-
-	db := doppel.Open(doppel.Options{Workers: totalWorkers})
-	base := measure("sharded-1db", db.Exec, uniform)
-	rows = append(rows, base)
-	db.Close()
-
-	openCluster := func() *doppel.Cluster {
-		c, err := doppel.OpenCluster(doppel.ClusterOptions{
-			Shards: shards,
-			DB:     doppel.Options{Workers: perShard},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return c
-	}
-
-	cl := openCluster()
-	uni := measure("sharded-uniform", cl.Exec, uniform)
-	rows = append(rows, uni)
-	cl.Close()
-	if base.OpsPerSec > 0 {
-		fmt.Printf("router tax: sharded-uniform at %.0f%% of sharded-1db\n",
-			100*uni.OpsPerSec/base.OpsPerSec)
-	}
-
-	cl = openCluster()
-	cross := func(r *rng.Rand) doppel.TxFunc {
-		k1 := ks.Key(r.Intn(keys))
-		if !r.Bool(0.1) {
-			return func(tx doppel.Tx) error { return tx.Add(k1, 1) }
-		}
-		k2 := ks.Key(r.Intn(keys))
-		for cl.ShardOf(k2) == cl.ShardOf(k1) {
-			k2 = ks.Key(r.Intn(keys))
-		}
-		return func(tx doppel.Tx) error {
-			if err := tx.Add(k1, 1); err != nil {
-				return err
-			}
-			return tx.Add(k2, 1)
-		}
-	}
-	rows = append(rows, measure("sharded-cross", cl.Exec, cross))
-	rs := cl.Stats().Router
-	fmt.Printf("cross-row routing: %d single-shard, %d cross-shard commits, %d prepare retries\n",
-		rs.SingleShard, rs.CrossShard, rs.CrossShardRetries)
-	cl.Close()
-
-	return rows
-}
-
-// runRecovery measures what the durability layer's recovery levers buy:
-// parallel segment replay (sequential vs parallel over a multi-segment,
-// size-rotated log), overlapping segment replay with the snapshot load,
-// and checkpointing (full replay vs bounded replay of the post-snapshot
-// tail). On a single-CPU host the parallel row shows only I/O/decode
-// overlap; the speedup needs real cores.
-func runRecovery(txns, workers int, segBytes int64, par int, jsonOut bool) {
+// runRecovery measures what checkpointing buys recovery: full replay
+// of a multi-segment, size-rotated log against bounded replay of the
+// snapshot plus the post-checkpoint tail. Both rows run the one
+// recovery path (snapshot load overlapped with parallel segment replay
+// at GOMAXPROCS).
+func runRecovery(txns, workers int, segBytes int64, jsonOut bool) {
 	dir, err := os.MkdirTemp("", "doppel-recovery-")
 	if err != nil {
 		log.Fatal(err)
@@ -735,8 +448,8 @@ func runRecovery(txns, workers int, segBytes int64, par int, jsonOut bool) {
 	}
 	db.Close()
 
-	fmt.Printf("# recovery time: %d logged transactions over %d keys, %d workers, %dKiB segments\n",
-		txns, keys, workers, segBytes>>10)
+	fmt.Printf("# recovery time: %d logged transactions over %d keys, %d workers, %dKiB segments, GOMAXPROCS=%d\n",
+		txns, keys, workers, segBytes>>10, runtime.GOMAXPROCS(0))
 	fmt.Printf("%-26s %12s %10s %10s %12s\n", "mode", "recover", "segments", "records", "snapshot")
 	var rows []benchRow
 	row := func(mode string, d time.Duration, rs doppel.RecoveryStats) {
@@ -748,34 +461,23 @@ func runRecovery(txns, workers int, segBytes int64, par int, jsonOut bool) {
 		rows = append(rows, benchRow{
 			Mode: mode, NS: d.Nanoseconds(),
 			Segments: rs.SegmentsReplayed, Records: rs.RecordsReplayed,
-			SnapshotEntries: rs.SnapshotEntries, Overlapped: rs.Overlapped,
+			SnapshotEntries: rs.SnapshotEntries,
 		})
 	}
-	recover := func(par int, overlap bool) (*doppel.DB, time.Duration) {
+	recover := func() (*doppel.DB, time.Duration) {
 		start := time.Now()
-		rec, err := doppel.Recover(dir, doppel.Options{
-			Workers: workers, RecoveryParallelism: par, RecoveryOverlap: overlap,
-		})
+		rec, err := doppel.Recover(dir, doppel.Options{Workers: workers})
 		if err != nil {
 			log.Fatal(err)
 		}
 		return rec, time.Since(start)
 	}
 
-	rec, full := recover(1, false)
-	row("full replay (sequential)", full, rec.LastRecovery())
-	rec.Close()
+	rec, full := recover()
+	row("full replay", full, rec.LastRecovery())
 
-	rec, parTime := recover(par, false)
-	row(fmt.Sprintf("full replay (par=%d)", par), parTime, rec.LastRecovery())
-	rec.Close()
-	if parTime > 0 {
-		fmt.Printf("parallel replay speedup: %.1fx\n", float64(full)/float64(parTime))
-	}
-
-	// Checkpoint, then append a 1% tail so the snapshot-vs-segments
-	// rows below have both a snapshot and real (but small) replay work.
-	rec, _ = recover(par, false)
+	// Checkpoint, then append a 1% tail so the after-checkpoint row has
+	// both a snapshot and real (but small) replay work.
 	if err := rec.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
@@ -788,20 +490,11 @@ func runRecovery(txns, workers int, segBytes int64, par int, jsonOut bool) {
 	}
 	rec.Close()
 
-	rec2, bounded := recover(par, false)
-	row(fmt.Sprintf("after checkpoint (+%d)", tail), bounded, rec2.LastRecovery())
-	rec2.Close()
+	rec, bounded := recover()
+	row(fmt.Sprintf("after checkpoint (+%d)", tail), bounded, rec.LastRecovery())
+	rec.Close()
 	if bounded > 0 {
 		fmt.Printf("replay bound speedup: %.1fx\n", float64(full)/float64(bounded))
-	}
-
-	// Overlapped: same snapshot + tail, but segment replay starts
-	// concurrently with the snapshot load instead of after it.
-	rec3, overlapped := recover(par, true)
-	row(fmt.Sprintf("overlapped (par=%d)", par), overlapped, rec3.LastRecovery())
-	rec3.Close()
-	if overlapped > 0 {
-		fmt.Printf("overlap speedup vs after-checkpoint: %.2fx\n", float64(bounded)/float64(overlapped))
 	}
 
 	if jsonOut {
@@ -812,7 +505,7 @@ func runRecovery(txns, workers int, segBytes int64, par int, jsonOut bool) {
 				"keys":          fmt.Sprint(keys),
 				"workers":       fmt.Sprint(workers),
 				"segment_bytes": fmt.Sprint(segBytes),
-				"parallelism":   fmt.Sprint(par),
+				"gomaxprocs":    fmt.Sprint(runtime.GOMAXPROCS(0)),
 			},
 			Rows: rows,
 		})

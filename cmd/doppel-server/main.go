@@ -38,9 +38,6 @@ func main() {
 	walDir := flag.String("wal", "", "durability directory (enables redo logging; recovers existing state on start)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "checkpoint interval when -wal is set (0 disables)")
 	segBytes := flag.Int64("max-segment-bytes", 64<<20, "seal WAL segments at this size, independent of checkpoints (0 disables)")
-	recoveryPar := flag.Int("recovery-parallelism", 0, "goroutines for snapshot decode and segment replay on start (0 = GOMAXPROCS)")
-	recoveryOverlap := flag.Bool("recovery-overlap", true, "replay WAL segments concurrently with the snapshot load on start")
-	ckptFrames := flag.Int("checkpoint-frame-buffer", 0, "snapshot entries buffered between the checkpoint walker and writer (0 = default)")
 	walFailStop := flag.Bool("wal-fail-stop", false, "refuse new transactions once the redo logger has failed terminally")
 	syncCommit := flag.Bool("sync-commit", false, "acknowledge commits only after their redo record's group commit is fsynced")
 	follow := flag.Bool("follow", false, "serve read-only from a replica tailing the -wal directory (writes fail; the primary may be a separate process)")
@@ -58,9 +55,6 @@ func main() {
 	if durable {
 		opts.CheckpointEvery = *ckptEvery
 		opts.MaxSegmentBytes = *segBytes
-		opts.RecoveryParallelism = *recoveryPar
-		opts.RecoveryOverlap = *recoveryOverlap
-		opts.CheckpointFrameBuffer = *ckptFrames
 		opts.WALFailStop = *walFailStop
 		opts.SyncCommit = *syncCommit
 		opts.ScrubEvery = *scrubEvery
@@ -85,9 +79,8 @@ func main() {
 			log.Fatal("-follow serves a single directory; combine one follower per shard instead of -shards")
 		}
 		rep, err := doppel.OpenFollower(*walDir, doppel.FollowerOptions{
-			PollInterval:        *followPoll,
-			RecoveryParallelism: *recoveryPar,
-			StateDir:            *followState,
+			PollInterval: *followPoll,
+			StateDir:     *followState,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -201,8 +194,8 @@ func main() {
 				log.Fatal(err)
 			}
 			rs := db.LastRecovery()
-			log.Printf("recovered from %s: snapshot %q (%d records), %d segments / %d records replayed (parallelism %d, overlapped %v)",
-				*walDir, rs.SnapshotFile, rs.SnapshotEntries, rs.SegmentsReplayed, rs.RecordsReplayed, rs.Parallelism, rs.Overlapped)
+			log.Printf("recovered from %s: snapshot %q (%d records), %d segments / %d records replayed",
+				*walDir, rs.SnapshotFile, rs.SnapshotEntries, rs.SegmentsReplayed, rs.RecordsReplayed)
 		} else {
 			db = doppel.Open(opts)
 		}

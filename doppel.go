@@ -138,8 +138,6 @@ type RecoveryStats struct {
 	SnapshotSeq      uint64 // first segment sequence the snapshot does not cover
 	SegmentsReplayed int    // live segments replayed after the snapshot
 	RecordsReplayed  int    // redo records replayed from those segments
-	Parallelism      int    // goroutines used for snapshot decode and segment replay
-	Overlapped       bool   // segment replay ran concurrently with the snapshot load
 }
 
 // DB is a Doppel database with its own worker goroutines. All methods
@@ -224,20 +222,17 @@ func OpenErr(opts Options) (*DB, error) {
 
 // Recover rebuilds a database from the durability directory at dir:
 // it loads the manifest's snapshot (if any), replays only the segments
-// the snapshot does not cover, and starts the database. Loading is
-// parallel (Options.RecoveryParallelism): snapshot entries decode on N
-// goroutines sharded by key, and segments replay concurrently — safe
-// because a redo record applies only when it advances the key's TID,
-// so the merge is order-independent. Unless opts.RedoLog names a
-// different directory, logging resumes into dir by appending fresh
-// records to the existing log — recovering and crashing again never
-// loses recovered state. RecoveryStats reports how bounded the replay
-// was.
+// the snapshot does not cover, and starts the database. Loading runs at
+// GOMAXPROCS: snapshot entries decode on that many goroutines sharded by
+// key while the segments replay concurrently with the snapshot load and
+// with each other — safe because every install applies only when it
+// advances the key's TID, so the merge is order-independent. Unless
+// opts.RedoLog names a different directory, logging resumes into dir by
+// appending fresh records to the existing log — recovering and crashing
+// again never loses recovered state. RecoveryStats reports how bounded
+// the replay was.
 func Recover(dir string, opts Options) (*DB, error) {
-	st, res, err := checkpoint.LoadStore(dir, checkpoint.LoadOptions{
-		Parallelism: opts.RecoveryParallelism,
-		Overlap:     opts.RecoveryOverlap,
-	})
+	st, res, err := checkpoint.LoadStore(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -254,8 +249,6 @@ func Recover(dir string, opts Options) (*DB, error) {
 		SnapshotSeq:      res.Manifest.SnapshotSeq,
 		SegmentsReplayed: len(res.Segments),
 		RecordsReplayed:  res.Records,
-		Parallelism:      res.Parallelism,
-		Overlapped:       res.Overlapped,
 	}
 	return db, nil
 }
@@ -287,10 +280,7 @@ func openInto(opts Options, st *store.Store) (*DB, error) {
 	db.draining.Store(int32(workers))
 	if redo != nil {
 		db.redoDir = opts.RedoLog
-		db.ckpt = checkpoint.New(db.eng, redo, checkpoint.Options{
-			Every:       opts.CheckpointEvery,
-			FrameBuffer: opts.CheckpointFrameBuffer,
-		})
+		db.ckpt = checkpoint.New(db.eng, redo, checkpoint.Options{Every: opts.CheckpointEvery})
 		if opts.ScrubEvery > 0 {
 			db.scrubStop = make(chan struct{})
 			db.scrubWG.Add(1)

@@ -2,14 +2,19 @@ package doppel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"doppel/internal/checkpoint"
 	"doppel/internal/core"
 	"doppel/internal/store"
 	"doppel/internal/wal"
@@ -390,10 +395,14 @@ func TestRecoverPropertyMixedWorkload(t *testing.T) {
 	}
 }
 
-// TestParallelRecoveryMatchesSequential: with size-based rotation
-// producing a multi-segment log, recovery at any parallelism must
-// rebuild exactly the state sequential recovery does. This is the
-// end-to-end check that the highest-TID-wins merge is order-independent.
+// TestParallelRecoveryMatchesSequential: recovery — the snapshot load
+// overlapped with parallel replay of a multi-segment log — must rebuild
+// exactly the final in-memory state, and exactly what the sequential
+// reference loader (checkpoint.Load + BuildStore) builds, TIDs included.
+// The log has a snapshot, a split key and a size-rotated tail, so the
+// snapshot and several segments install into the store concurrently:
+// the end-to-end check that the highest-TID-wins merge is
+// order-independent.
 func TestParallelRecoveryMatchesSequential(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenErr(Options{
@@ -407,60 +416,83 @@ func TestParallelRecoveryMatchesSequential(t *testing.T) {
 	}
 	db.SplitHint("hot", OpAdd)
 	const txns = 2000
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < txns/4; i++ {
-				key := fmt.Sprintf("k%d", (i*5+w)%97)
-				if i%10 == 0 {
-					key = "hot"
+	run := func(base int) {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < txns/8; i++ {
+					key := fmt.Sprintf("k%d", (i*5+w+base)%97)
+					if i%10 == 0 {
+						key = "hot"
+					}
+					if err := db.Exec(func(tx Tx) error { return tx.Add(key, 1) }); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-				if err := db.Exec(func(tx Tx) error { return tx.Add(key, 1) }); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	run(0)
+	// A mid-run checkpoint gives recovery both a snapshot and a segment
+	// tail to install concurrently.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	run(31)
 	db.Close()
+	if db.Internal().PhaseChanges() == 0 {
+		t.Fatal("no phase change ran: the hot key was never split")
+	}
 	want := storeState(db.Internal().Store())
 
-	seq, err := Recover(dir, Options{Workers: 2, RecoveryParallelism: 1})
+	ref, err := checkpoint.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := seq.LastRecovery()
-	seq.Close()
+	refStore, err := ref.BuildStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := Recover(dir, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := rec.LastRecovery()
+	rec.Close()
+	if rs.SnapshotEntries == 0 || rs.RecordsReplayed == 0 {
+		t.Fatalf("scenario too weak: snapshot %d entries, %d records replayed", rs.SnapshotEntries, rs.RecordsReplayed)
+	}
 	if rs.SegmentsReplayed < 3 {
-		t.Fatalf("log not multi-segment (%d segments): size rotation not exercised", rs.SegmentsReplayed)
+		t.Fatalf("tail not multi-segment (%d segments): size rotation not exercised", rs.SegmentsReplayed)
 	}
-	if rs.Parallelism != 1 {
-		t.Fatalf("sequential recovery ran at parallelism %d", rs.Parallelism)
+	if rs.SnapshotEntries != len(ref.Snapshot) || rs.RecordsReplayed != len(ref.Records) {
+		t.Fatalf("recovery read %d snapshot entries and %d records, the reference %d and %d",
+			rs.SnapshotEntries, rs.RecordsReplayed, len(ref.Snapshot), len(ref.Records))
 	}
-	gotSeq := storeState(seq.Internal().Store())
+	got := rec.Internal().Store()
 
-	par, err := Recover(dir, Options{Workers: 2, RecoveryParallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prs := par.LastRecovery()
-	par.Close()
-	if prs.Parallelism != 8 {
-		t.Fatalf("parallel recovery ran at parallelism %d", prs.Parallelism)
-	}
-	gotPar := storeState(par.Internal().Store())
-
-	for name, got := range map[string]map[string]string{"sequential": gotSeq, "parallel": gotPar} {
-		if len(got) != len(want) {
-			t.Fatalf("%s recovery: %d keys, want %d", name, len(got), len(want))
+	for name, st := range map[string]map[string]string{"recovered": storeState(got), "reference": storeState(refStore)} {
+		if len(st) != len(want) {
+			t.Fatalf("%s store: %d keys, want %d", name, len(st), len(want))
 		}
 		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("%s recovery: key %q = %x, want %x", name, k, got[k], v)
+			if st[k] != v {
+				t.Fatalf("%s store: key %q = %x, want %x", name, k, st[k], v)
 			}
+		}
+	}
+	for _, e := range refStore.SnapshotEntries() {
+		r := got.Get(e.Key)
+		if r == nil {
+			t.Fatalf("key %q missing after recovery", e.Key)
+		}
+		if tid, _ := r.TIDWord(); tid != e.TID {
+			t.Fatalf("key %q: recovered TID %d, reference TID %d", e.Key, tid, e.TID)
 		}
 	}
 }
@@ -471,21 +503,26 @@ func TestParallelRecoveryMatchesSequential(t *testing.T) {
 func TestSizeRotationWithCheckpointGC(t *testing.T) {
 	dir := t.TempDir()
 	// Commits are asynchronous, so the 500 records may reach the log in
-	// a single group-commit batch; MaxSegmentBytes must still cut it
-	// into 1 KiB segments. Auto-split is off because split writes log
-	// only as merged reconciliation records, too few bytes to rotate.
+	// a single group commit; MaxSegmentBytes must still cut it into 1 KiB
+	// segments. Puts of distinct values do not commute, so the
+	// classifier never splits these keys and every commit logs its own
+	// record.
 	db, err := OpenErr(Options{
 		Workers:         2,
 		RedoLog:         dir,
 		MaxSegmentBytes: 1 << 10,
-		Engine:          core.Config{DisableAutoSplit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("k%d", i%20)
-		if err := db.Exec(func(tx Tx) error { return tx.Add(key, 1) }); err != nil {
+		n := int64(i)
+		put := func(tx Tx) error { return tx.PutInt(key, n) }
+		if i%2 == 1 {
+			put = func(tx Tx) error { return tx.PutBytes(key, []byte(fmt.Sprintf("v%d", n))) }
+		}
+		if err := db.Exec(put); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -621,84 +658,6 @@ func TestRecoveredTIDsStayMonotonic(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestOverlappedRecoveryMatchesSequential: overlapping segment replay
-// with the snapshot load must rebuild exactly the state sequential
-// recovery does — the end-to-end check that the per-key TID filter
-// makes the snapshot/segment interleaving order-independent.
-func TestOverlappedRecoveryMatchesSequential(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenErr(Options{
-		Workers:         2,
-		PhaseLength:     2 * time.Millisecond,
-		RedoLog:         dir,
-		MaxSegmentBytes: 2 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SplitHint("hot", OpAdd)
-	const txns = 1500
-	run := func(base int) {
-		for i := 0; i < txns/2; i++ {
-			key := fmt.Sprintf("k%d", (i+base)%97)
-			if i%10 == 0 {
-				key = "hot"
-			}
-			if err := db.Exec(func(tx Tx) error { return tx.Add(key, 1) }); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	run(0)
-	// A mid-run checkpoint gives recovery both a snapshot and a segment
-	// tail, so the overlap actually has two streams to interleave.
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	run(31)
-	db.Close()
-	want := storeState(db.Internal().Store())
-
-	seq, err := Recover(dir, Options{Workers: 2, RecoveryParallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSeq := storeState(seq.Internal().Store())
-	srs := seq.LastRecovery()
-	seq.Close()
-	if srs.Overlapped {
-		t.Fatal("sequential recovery reported overlap")
-	}
-	if srs.SnapshotEntries == 0 || srs.RecordsReplayed == 0 {
-		t.Fatalf("scenario too weak — snapshot %d entries, %d records replayed", srs.SnapshotEntries, srs.RecordsReplayed)
-	}
-
-	over, err := Recover(dir, Options{Workers: 2, RecoveryParallelism: 4, RecoveryOverlap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOver := storeState(over.Internal().Store())
-	ors := over.LastRecovery()
-	over.Close()
-	if !ors.Overlapped {
-		t.Fatal("overlapped recovery did not report overlap")
-	}
-	if ors.SnapshotEntries != srs.SnapshotEntries || ors.RecordsReplayed != srs.RecordsReplayed {
-		t.Fatalf("overlapped recovery accounting diverged: %+v vs %+v", ors, srs)
-	}
-
-	for name, got := range map[string]map[string]string{"sequential": gotSeq, "overlapped": gotOver} {
-		if len(got) != len(want) {
-			t.Fatalf("%s recovery: %d keys, want %d", name, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("%s recovery: key %q = %x, want %x", name, k, got[k], v)
-			}
-		}
 	}
 }
 
@@ -855,23 +814,131 @@ func replayIntKey(t *testing.T, dir, key string) int64 {
 	return val
 }
 
-// TestSnapshotCanonical: two checkpoints of identical state produce
-// byte-identical snapshots (entries are sorted), which keeps snapshots
-// diffable and the fuzz round-trip meaningful.
+// TestSnapshotCanonical: the snapshot encoding is deterministic — the
+// same entries in the same order produce byte-identical streams — and
+// the state a snapshot carries does not depend on the order the walk
+// emitted it in: two encodings of identical state in different orders
+// decode to the same sorted entries.
 func TestSnapshotCanonical(t *testing.T) {
 	st := store.New()
 	st.PreloadTID("b", store.IntValue(2), 2)
 	st.PreloadTID("a", store.IntValue(1), 1)
-	var b1, b2 bytes.Buffer
-	if err := store.WriteSnapshot(&b1, st.SnapshotEntries()); err != nil {
+	encode := func(entries []store.SnapshotEntry) []byte {
+		var buf bytes.Buffer
+		sw, err := store.NewSnapshotWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if err := sw.Write(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	es := st.SnapshotEntries()
+	if !bytes.Equal(encode(es), encode(es)) {
+		t.Fatal("encodings of the same entries differ")
+	}
+	decodeSorted := func(raw []byte) []store.SnapshotEntry {
+		got, err := store.ReadSnapshot(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
+		return got
+	}
+	x := decodeSorted(encode(es))
+	y := decodeSorted(encode([]store.SnapshotEntry{es[1], es[0]}))
+	for i := range x {
+		if x[i].Key != y[i].Key || x[i].TID != y[i].TID ||
+			!bytes.Equal(store.EncodeValue(x[i].Value), store.EncodeValue(y[i].Value)) {
+			t.Fatalf("entry %d: %+v vs %+v", i, x[i], y[i])
+		}
+	}
+}
+
+// TestRecoverRejectsRetiredFormats: the count-prefixed DOPSNAP1
+// snapshot and the doppel-manifest-v1 manifest are no longer read.
+// Recover must fail on either with an error naming the problem — never
+// come up as a silently empty (or partial) store.
+func TestRecoverRejectsRetiredFormats(t *testing.T) {
+	// A durable directory with one checkpoint and a post-checkpoint tail.
+	dir := t.TempDir()
+	db, err := OpenErr(Options{Workers: 1, RedoLog: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WriteSnapshot(&b2, st.SnapshotEntries()); err != nil {
+	for i := 0; i < 10; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if err := db.Exec(func(tx Tx) error { return tx.PutInt(key, 1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("snapshots of identical state differ")
+	if err := db.Exec(func(tx Tx) error { return tx.PutInt("tail", 1) }); err != nil {
+		t.Fatal(err)
 	}
+	db.Close()
+	man, ok, err := wal.ReadManifest(dir)
+	if err != nil || !ok || man.Snapshot == "" {
+		t.Fatalf("manifest %+v ok=%v err=%v", man, ok, err)
+	}
+	copyDir := func(t *testing.T) string {
+		t.Helper()
+		dst := t.TempDir()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range ents {
+			raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, ent.Name()), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dst
+	}
+	mustFail := func(t *testing.T, d, want string) {
+		t.Helper()
+		rec, err := Recover(d, Options{Workers: 1})
+		if err == nil {
+			n := rec.Internal().Store().Len()
+			rec.Close()
+			t.Fatalf("recovered a %d-key store from a retired format", n)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Recover error %q does not mention %q", err, want)
+		}
+	}
+
+	t.Run("DOPSNAP1 snapshot", func(t *testing.T) {
+		d := copyDir(t)
+		// The retired layout: magic, an entry count, then frames. Zero
+		// entries keeps it a complete, well-formed v1 stream.
+		v1 := binary.LittleEndian.AppendUint64([]byte("DOPSNAP1"), 0)
+		if err := os.WriteFile(filepath.Join(d, man.Snapshot), v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mustFail(t, d, "bad snapshot magic")
+	})
+	t.Run("doppel-manifest-v1", func(t *testing.T) {
+		d := copyDir(t)
+		body := fmt.Sprintf("doppel-manifest-v1\nseq=%d\nsnapshot=%s\n", man.SnapshotSeq, man.Snapshot)
+		raw := body + fmt.Sprintf("crc=%08x\n", crc32.Checksum([]byte(body), crc32.MakeTable(crc32.Castagnoli)))
+		if err := os.WriteFile(filepath.Join(d, "MANIFEST"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mustFail(t, d, "unsupported manifest version")
+	})
 }
 
 func TestRecoverMissingDir(t *testing.T) {

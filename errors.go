@@ -17,8 +17,8 @@ var (
 
 	// ErrRequiresRedoLog reports an option that is meaningless without a
 	// durability directory (CheckpointEvery, MaxSegmentBytes, SyncCommit,
-	// WALFailStop, CheckpointFrameBuffer) set while Options.RedoLog is
-	// empty. Options.Validate wraps it once per violating option.
+	// ScrubEvery, WALFailStop) set while Options.RedoLog is empty.
+	// Options.Validate wraps it once per violating option.
 	ErrRequiresRedoLog = errors.New("doppel: option requires RedoLog")
 
 	// ErrLogExists reports an Open/OpenErr against a durability directory

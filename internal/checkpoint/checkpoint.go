@@ -21,19 +21,7 @@ type Options struct {
 	// Every is the background checkpoint interval; 0 disables the
 	// background loop (manual Checkpoint calls still work).
 	Every time.Duration
-	// FrameBuffer is how many snapshot entries may sit between the
-	// store walker and the file writer of a streaming checkpoint. It
-	// bounds the checkpoint's memory footprint: the walk never
-	// materializes the store, it stays at most FrameBuffer entries
-	// ahead of the bytes on disk. 0 means defaultFrameBuffer.
-	FrameBuffer int
 }
-
-// defaultFrameBuffer is the walker→writer channel capacity when
-// Options.FrameBuffer is zero: deep enough to ride out fsync hiccups,
-// shallow enough that a checkpoint holds only ~a thousand entry headers
-// (values are shared pointers, not copies) regardless of store size.
-const defaultFrameBuffer = 1024
 
 // Stats is a point-in-time summary of checkpoint activity.
 type Stats struct {
@@ -43,7 +31,7 @@ type Stats struct {
 	LastEntries  int           // records in the last snapshot
 	LastBytes    int64         // size of the last snapshot file
 	LastBarrier  time.Duration // time workers were stalled by the last cut (O(1), not O(records))
-	LastWalk     time.Duration // duration of the last concurrent streaming walk (includes snapshot-writer backpressure)
+	LastWalk     time.Duration // duration of the last concurrent walk, encoding and snapshot writes included
 	LastCOWSaves int           // records whose barrier value a concurrent writer had to copy
 	LastDuration time.Duration // wall time of the last checkpoint
 	LastError    string        // message of the last failure, if any
@@ -52,9 +40,8 @@ type Stats struct {
 // Checkpointer drives snapshot+rotate checkpoints for one database and
 // its logger.
 type Checkpointer struct {
-	db     *core.DB
-	log    *wal.Logger
-	frames int // walker→writer channel capacity
+	db  *core.DB
+	log *wal.Logger
 
 	ckptMu sync.Mutex // serializes checkpoints; held across Close's drain
 	mu     sync.Mutex // guards stats
@@ -68,11 +55,8 @@ type Checkpointer struct {
 // New returns a checkpointer for db and log. When opts.Every > 0 a
 // background goroutine checkpoints at that interval until Close.
 func New(db *core.DB, log *wal.Logger, opts Options) *Checkpointer {
-	c := &Checkpointer{db: db, log: log, frames: opts.FrameBuffer,
+	c := &Checkpointer{db: db, log: log,
 		stop: make(chan struct{}), done: make(chan struct{})}
-	if c.frames <= 0 {
-		c.frames = defaultFrameBuffer
-	}
 	if opts.Every > 0 {
 		go c.loop(opts.Every)
 	} else {
@@ -140,78 +124,76 @@ func (c *Checkpointer) Checkpoint() error {
 	}
 	start := time.Now()
 
-	// Publish the barrier; retry while another phase transition is in
-	// flight. Once published it is guaranteed to run (workers complete
-	// it as they poll; core.DB.Close completes it during quiesce).
+	// Publish the barrier; while another phase transition is in flight,
+	// wait for it to release and try again. Once published the barrier
+	// is guaranteed to run (workers complete it as they poll;
+	// core.DB.Close completes it during quiesce).
 	cutCh := make(chan cut, 1)
-	for !c.db.RequestBarrier(func() {
-		t0 := time.Now()
-		seq, err := c.log.Rotate()
-		if err != nil {
-			cutCh <- cut{err: err}
-			return
+	for {
+		busy := c.db.RequestBarrier(func() {
+			t0 := time.Now()
+			seq, err := c.log.Rotate()
+			if err != nil {
+				cutCh <- cut{err: err}
+				return
+			}
+			cutCh <- cut{
+				seq:     seq,
+				cap:     c.db.Store().StartCapture(),
+				barrier: time.Since(t0),
+			}
+		})
+		if busy == nil {
+			break
 		}
-		cutCh <- cut{
-			seq:     seq,
-			cap:     c.db.Store().StartCapture(),
-			barrier: time.Since(t0),
-		}
-	}) {
-		if c.closed.Load() {
+		select {
+		case <-busy:
+		case <-c.stop:
 			return errors.New("checkpoint: checkpointer closed")
 		}
-		time.Sleep(50 * time.Microsecond)
 	}
 	cu := <-cutCh
 	if cu.err != nil {
 		return c.fail(fmt.Errorf("checkpoint: rotate: %w", cu.err))
 	}
 
-	// Stream the walk straight to disk: the walker goroutine resolves
-	// capture claims shard by shard and feeds entries through a bounded
-	// channel to this goroutine, which encodes and writes them as they
-	// arrive. Memory stays O(frame buffer + copy-on-write saves) instead
-	// of O(store). The walker always runs the capture to completion —
-	// even if the writer fails, the writer keeps draining the channel —
-	// so the capture is deactivated and writers stop paying the
-	// copy-on-write hook on every exit path.
-	type walkOut struct {
-		entries  int
+	// Stream the walk straight to disk: StreamCapture resolves capture
+	// claims shard by shard and hands each entry to the snapshot writer,
+	// which encodes it into one reused buffer. Memory stays
+	// O(copy-on-write saves) instead of O(store). The capture must run
+	// exactly once on every path so it is deactivated and writers stop
+	// paying the copy-on-write hook: StreamCapture finishes its protocol
+	// even when the writer fails, and if WriteFileAtomic fails before
+	// its callback runs, the capture is walked with a no-op emit.
+	var (
+		walked   bool
 		cowSaves int
+		entries  int
 		walk     time.Duration
-	}
-	entryCh := make(chan store.SnapshotEntry, c.frames)
-	walkCh := make(chan walkOut, 1)
-	go func() {
+	)
+	stream := func(emit func(store.SnapshotEntry) error) error {
+		walked = true
 		walkStart := time.Now()
-		n := 0
-		cowSaves, _ := c.db.Store().StreamCapture(cu.cap, func(e store.SnapshotEntry) error {
-			entryCh <- e
-			n++
-			return nil
-		})
-		close(entryCh)
-		walkCh <- walkOut{entries: n, cowSaves: cowSaves, walk: time.Since(walkStart)}
-	}()
+		var err error
+		cowSaves, err = c.db.Store().StreamCapture(cu.cap, emit)
+		walk = time.Since(walkStart)
+		return err
+	}
 	name := wal.SnapshotFileName(cu.seq)
 	size, err := wal.WriteFileAtomic(c.log.Dir(), name, func(w io.Writer) error {
 		sw, err := store.NewSnapshotWriter(w)
-		for e := range entryCh {
-			if err == nil {
-				err = sw.Write(e)
-			}
-			// On error keep draining so the walker never blocks.
-		}
 		if err != nil {
 			return err
 		}
+		if err := stream(sw.Write); err != nil {
+			return err
+		}
+		entries = sw.Count()
 		return sw.Close()
 	})
-	for range entryCh {
-		// WriteFileAtomic can fail before its callback runs (e.g. the
-		// temporary file cannot be created); unblock the walker then too.
+	if !walked {
+		_ = stream(func(store.SnapshotEntry) error { return nil })
 	}
-	wo := <-walkCh
 	if err != nil {
 		return c.fail(fmt.Errorf("checkpoint: snapshot: %w", err))
 	}
@@ -222,11 +204,11 @@ func (c *Checkpointer) Checkpoint() error {
 	c.mu.Lock()
 	c.stats.Checkpoints++
 	c.stats.LastSeq = cu.seq
-	c.stats.LastEntries = wo.entries
+	c.stats.LastEntries = entries
 	c.stats.LastBytes = size
 	c.stats.LastBarrier = cu.barrier
-	c.stats.LastWalk = wo.walk
-	c.stats.LastCOWSaves = wo.cowSaves
+	c.stats.LastWalk = walk
+	c.stats.LastCOWSaves = cowSaves
 	c.stats.LastDuration = time.Since(start)
 	c.stats.LastError = ""
 	c.mu.Unlock()
@@ -320,78 +302,41 @@ func applyRecord(st *store.Store, rec wal.Record) error {
 	return nil
 }
 
-// LoadOptions tunes LoadStore.
-type LoadOptions struct {
-	// Parallelism caps the goroutines used for snapshot decoding and
-	// segment replay; values below 1 mean runtime.GOMAXPROCS(0).
-	Parallelism int
-	// Overlap starts segment replay concurrently with the snapshot
-	// load instead of after it. Snapshot entries then install through a
-	// per-key TID filter (highest TID wins, like replay itself), so the
-	// merge is correct in any arrival order: a redo record for a key
-	// always carries a higher TID than the snapshot's entry for it.
-	Overlap bool
-}
-
 // LoadResult summarizes what LoadStore read.
 type LoadResult struct {
 	Manifest        wal.Manifest
 	SnapshotEntries int               // records restored from the snapshot
 	Segments        []wal.SegmentInfo // live segments replayed, with record counts
 	Records         int               // redo records replayed from those segments
-	Parallelism     int               // goroutines actually configured
-	Overlapped      bool              // snapshot load and segment replay ran concurrently
 }
 
 // LoadStore reads dir and materializes the recovered store with
-// parallel replay: the snapshot decodes on N goroutines sharded by key,
-// and live segments replay concurrently, each applied under the
-// highest-TID-wins rule with per-record atomicity (see applyRecord).
-// Without opts.Overlap the snapshot is fully loaded first (preloading
-// is then unconditional); with it, segment replay starts immediately
-// and the snapshot installs through the same per-key TID filter.
-// The manifest's sealed-segment metadata, where present, is used as a
-// corruption check: a sealed segment must replay to exactly the record
-// count and TID range it sealed with. Corruption semantics otherwise
-// match Load: only the newest segment may end in a torn tail.
-func LoadStore(dir string, opts LoadOptions) (*store.Store, LoadResult, error) {
-	par := opts.Parallelism
-	if par < 1 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	res := LoadResult{Parallelism: par}
+// GOMAXPROCS-way parallelism: the snapshot decodes on that many
+// goroutines sharded by key while the live segments replay
+// concurrently with it and with each other. Every install — snapshot
+// entry or redo op — goes through the per-key highest-TID-wins rule
+// with per-record atomicity (see applyRecord and
+// store.ReadSnapshotInto), so the merge is correct in any arrival
+// order: a redo record for a key always carries a higher TID than the
+// snapshot's entry for it. The manifest's sealed-segment metadata, where
+// present, is used as a corruption check: a sealed segment must replay
+// to exactly the record count and TID range it sealed with. Corruption
+// semantics otherwise match Load: only the newest segment may end in a
+// torn tail.
+func LoadStore(dir string) (*store.Store, LoadResult, error) {
+	var res LoadResult
 	man, segs, err := wal.LiveSegments(dir)
 	if err != nil {
 		return nil, res, err
 	}
 	res.Manifest = man
-	// Overlap is only real when there is a snapshot for segment replay
-	// to run concurrently with; report what actually happened.
-	res.Overlapped = opts.Overlap && man.Snapshot != ""
 	st := store.New()
 	snapDone := make(chan error, 1)
-	snapDone <- nil // replaced below when there is a snapshot to load
-	if man.Snapshot != "" {
-		loadSnap := func() error {
-			n, err := LoadSnapshot(dir, man, st, par, opts.Overlap)
-			if err != nil {
-				return err
-			}
-			res.SnapshotEntries = n
-			return nil
-		}
-		<-snapDone
-		if opts.Overlap {
-			// Segment replay proceeds below while the snapshot loads;
-			// the TID-filtered install makes the interleaving safe.
-			go func() { snapDone <- loadSnap() }()
-		} else {
-			if err := loadSnap(); err != nil {
-				return nil, res, err
-			}
-			snapDone <- nil
-		}
-	}
+	go func() {
+		n, err := LoadSnapshot(dir, man, st)
+		res.SnapshotEntries = n
+		snapDone <- err
+	}()
 
 	// Replay live segments concurrently. Each worker streams one segment
 	// from disk and applies its records; decoding and application of
@@ -400,11 +345,8 @@ func LoadStore(dir string, opts LoadOptions) (*store.Store, LoadResult, error) {
 	var (
 		mu       sync.Mutex
 		firstErr error
-		workers  = par
+		workers  = min(runtime.GOMAXPROCS(0), len(segs))
 	)
-	if workers > len(segs) {
-		workers = len(segs)
-	}
 	setErr := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
@@ -453,26 +395,22 @@ func LoadStore(dir string, opts LoadOptions) (*store.Store, LoadResult, error) {
 }
 
 // LoadSnapshot loads the snapshot file named by man into st with
-// par-way parallel decode (values below 1 mean GOMAXPROCS) and returns
-// the entry count. tidFiltered selects the per-key highest-TID-wins
-// install filter (see store.ReadSnapshotInto) — required whenever redo
-// records may install into st before or concurrently with the snapshot,
-// as in overlapped recovery and a replication follower's catch-up. A
-// manifest naming no snapshot is a no-op. Exposed so a follower can
-// bootstrap from the checkpoint exactly the way recovery does.
-func LoadSnapshot(dir string, man wal.Manifest, st *store.Store, par int, tidFiltered bool) (int, error) {
+// GOMAXPROCS-way parallel decode and returns the entry count. Entries
+// install through the per-key highest-TID-wins filter (see
+// store.ReadSnapshotInto), so redo records may install into st before
+// or concurrently with the snapshot — as in recovery and a replication
+// follower's catch-up, which both call this. A manifest naming no
+// snapshot is a no-op.
+func LoadSnapshot(dir string, man wal.Manifest, st *store.Store) (int, error) {
 	if man.Snapshot == "" {
 		return 0, nil
-	}
-	if par < 1 {
-		par = runtime.GOMAXPROCS(0)
 	}
 	f, err := os.Open(filepath.Join(dir, man.Snapshot))
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: manifest names missing snapshot: %w", err)
 	}
 	defer f.Close()
-	n, err := store.ReadSnapshotInto(f, st, par, tidFiltered)
+	n, err := store.ReadSnapshotInto(f, st, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: %s: %w", man.Snapshot, err)
 	}

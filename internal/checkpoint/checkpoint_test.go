@@ -175,8 +175,8 @@ func TestBuildStoreSkipsStaleRecords(t *testing.T) {
 func (h *harness) barrier(fn func()) {
 	h.t.Helper()
 	done := make(chan struct{})
-	for !h.db.RequestBarrier(func() { fn(); close(done) }) {
-		time.Sleep(50 * time.Microsecond)
+	if busy := h.db.RequestBarrier(func() { fn(); close(done) }); busy != nil {
+		h.t.Fatal("barrier refused: a transition is in flight")
 	}
 	for {
 		select {
@@ -318,9 +318,15 @@ func TestCrashMidIncrementalCheckpoint(t *testing.T) {
 	if capt == nil {
 		t.Fatal("barrier did not run")
 	}
-	entries, _ := h.db.Store().CollectCapture(capt)
 	if _, err := wal.WriteFileAtomic(h.log.Dir(), wal.SnapshotFileName(seq), func(w io.Writer) error {
-		return store.WriteSnapshot(w, entries)
+		sw, err := store.NewSnapshotWriter(w)
+		if err != nil {
+			return err
+		}
+		if _, err := h.db.Store().StreamCapture(capt, sw.Write); err != nil {
+			return err
+		}
+		return sw.Close()
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +353,7 @@ func TestCrashMidIncrementalCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, res, err := LoadStore(h.log.Dir(), LoadOptions{Parallelism: 4})
+	st, res, err := LoadStore(h.log.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,6 +409,86 @@ func TestCrashMidIncrementalCheckpoint(t *testing.T) {
 		if name != man.Snapshot && len(name) > 9 && name[:9] == "snapshot-" {
 			t.Fatalf("orphan snapshot %s survived the next checkpoint", name)
 		}
+	}
+}
+
+// TestCheckpointWaitsOutInFlightTransition: a checkpoint requested while
+// a split transition is in flight waits for that transition's release
+// and then publishes its own barrier. Worker 1 is left unpolled, so the
+// split transition cannot complete and the checkpoint must not either;
+// once worker 1 polls, both finish.
+func TestCheckpointWaitsOutInFlightTransition(t *testing.T) {
+	h := newHarness(t, 2)
+	defer h.log.Close()
+	defer h.db.Close()
+	c, errCh := h.checkpointDuringSplitTransition()
+	defer c.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		select {
+		case err := <-errCh:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Stats().Checkpoints; got != 1 {
+				t.Fatalf("%d checkpoints completed, want 1", got)
+			}
+			if h.db.PhaseChanges() == 0 {
+				t.Fatal("the split transition never completed")
+			}
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("checkpoint never completed after worker 1 polled")
+		}
+		h.db.Poll(1)
+		h.db.Poll(0)
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// checkpointDuringSplitTransition publishes a split transition that
+// only worker 0 acknowledges, starts a checkpoint in the background and
+// checks that it is still waiting 20 ms later.
+func (h *harness) checkpointDuringSplitTransition() (*Checkpointer, <-chan error) {
+	h.t.Helper()
+	h.commit(0, func(tx engine.Tx) error { return tx.PutInt("hot", 0) })
+	h.db.SplitHint("hot", store.OpAdd)
+	if !h.db.RequestSplitPhase() {
+		h.t.Fatal("split phase refused")
+	}
+	h.db.Poll(0) // worker 0 acknowledges; worker 1 holds the transition open
+
+	c := New(h.db, h.log, Options{})
+	errCh := make(chan error, 1)
+	go func() { errCh <- c.Checkpoint() }()
+	select {
+	case err := <-errCh:
+		h.t.Fatalf("checkpoint finished (%v) while the split transition was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if h.db.Phase() != core.PhaseJoined {
+		h.t.Fatalf("phase %v before worker 1 acknowledged, want joined", h.db.Phase())
+	}
+	return c, errCh
+}
+
+// TestCheckpointerCloseWhileWaiting: Close must not hang on a checkpoint
+// that is waiting out another transition; the checkpoint gives up with
+// an error and publishes no barrier.
+func TestCheckpointerCloseWhileWaiting(t *testing.T) {
+	h := newHarness(t, 2)
+	defer h.log.Close()
+	defer h.db.Close()
+	c, errCh := h.checkpointDuringSplitTransition()
+	c.Close()
+	if err := <-errCh; err == nil {
+		t.Fatal("checkpoint succeeded after Close")
+	}
+	if c.Stats().Checkpoints != 0 {
+		t.Fatalf("stats after an abandoned checkpoint: %+v", c.Stats())
 	}
 }
 

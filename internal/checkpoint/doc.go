@@ -16,7 +16,12 @@
 // concurrently with traffic under the copy-on-write protocol (see
 // store/cow.go): a post-barrier writer that reaches a record before the
 // walk does saves the record's pre-barrier state aside first, so the
-// assembled snapshot is exactly the store's state at the barrier.
+// assembled snapshot is exactly the store's state at the barrier. The
+// walk hands each entry straight to a store.SnapshotWriter inside the
+// atomic file write, so checkpoint memory does not grow with the store.
+// A checkpoint requested while another phase transition is in flight
+// waits on that transition's release channel (core.DB.RequestBarrier
+// returns it) and then publishes its own barrier; nothing polls.
 //
 // # The consistency argument
 //
@@ -33,14 +38,19 @@
 //
 // # Recovery
 //
-// Load/BuildStore is the sequential reference implementation; LoadStore
-// is the parallel production path: snapshot frames decode on N
-// goroutines sharded by key, and live segments replay concurrently.
-// Order independence holds because replay applies a redo record only
-// when it advances the key's TID, atomically per record — per-key TIDs
-// are unique and monotone in log order, so highest-TID-wins converges
-// to the sequential result from any interleaving. The manifest's
-// sealed-segment metadata (TID ranges, record counts) is checked
-// against what each segment actually replays to, so sealed-file
+// There is one production path and one reference. LoadStore is the
+// production path, used by primary recovery; a replication follower
+// bootstraps through the same LoadSnapshot call it makes. The snapshot
+// decodes on GOMAXPROCS goroutines sharded by key while the live
+// segments replay concurrently with it and with each other. Order
+// independence holds because every install — snapshot entry or redo
+// record — applies only when it advances the key's TID, atomically per
+// record: per-key TIDs are unique and monotone in log order, and a live
+// segment's records post-date the snapshot's entry for the same key, so
+// highest-TID-wins converges to the sequential result from any
+// interleaving. Load/BuildStore is the sequential reference
+// implementation the equivalence tests compare LoadStore against. The
+// manifest's sealed-segment metadata (TID ranges, record counts) is
+// checked against what each segment actually replays to, so sealed-file
 // corruption fails recovery loudly.
 package checkpoint

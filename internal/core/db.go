@@ -391,27 +391,28 @@ func (db *DB) RequestJoinedPhase() bool {
 //
 // Unlike beginTransition this may target the phase the database is
 // already in: a joined→joined barrier is the checkpoint cut for an
-// uncontended database. It returns false when another transition is in
-// flight; the caller should retry. Workers must be polled for the
-// barrier to complete.
-func (db *DB) RequestBarrier(fn func()) bool {
+// uncontended database. It returns nil once the barrier is published.
+// While another transition is in flight it publishes nothing and
+// returns that transition's release channel, which closes when the
+// transition completes; the caller waits on it and tries again. Workers
+// must be polled for either transition to complete.
+func (db *DB) RequestBarrier(fn func()) (busy <-chan struct{}) {
 	db.pubMu.Lock()
 	defer db.pubMu.Unlock()
-	if db.inflight.Load() != nil {
-		return false
+	if tr := db.inflight.Load(); tr != nil {
+		return tr.released
 	}
-	tr := &transition{
+	// Every publisher holds pubMu, so with inflight nil here no other
+	// transition can be installed before this one.
+	db.inflight.Store(&transition{
 		target:   PhaseJoined,
 		epoch:    db.phaseEpoch.Load() + 1,
 		barrier:  fn,
 		total:    int32(len(db.workers)),
 		released: make(chan struct{}),
-	}
-	if !db.inflight.CompareAndSwap(nil, tr) {
-		return false
-	}
+	})
 	db.WakeAll()
-	return true
+	return nil
 }
 
 // Close stops the coordinator, completes any in-flight transition on

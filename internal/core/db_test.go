@@ -586,11 +586,17 @@ func TestRequestBarrier(t *testing.T) {
 	mustCommit(t, db, 0, func(tx engine.Tx) error { return tx.PutInt("a", 1) })
 
 	var calls atomic.Int32
-	if !db.RequestBarrier(func() { calls.Add(1) }) {
+	if busy := db.RequestBarrier(func() { calls.Add(1) }); busy != nil {
 		t.Fatal("barrier refused")
 	}
-	if db.RequestBarrier(func() {}) {
+	busy := db.RequestBarrier(func() {})
+	if busy == nil {
 		t.Fatal("second barrier accepted while one is in flight")
+	}
+	select {
+	case <-busy:
+		t.Fatal("in-flight barrier released before any worker polled")
+	default:
 	}
 	for i := 0; i < 1000 && calls.Load() == 0; i++ {
 		db.Poll(0)
@@ -598,6 +604,11 @@ func TestRequestBarrier(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("barrier ran %d times, want 1", got)
+	}
+	select {
+	case <-busy: // the refused caller learns the barrier completed
+	default:
+		t.Fatal("release channel still open after the barrier completed")
 	}
 	if db.Phase() != PhaseJoined {
 		t.Fatalf("phase %v after barrier", db.Phase())
@@ -627,9 +638,9 @@ func TestRequestBarrierDuringSplitReconciles(t *testing.T) {
 		}
 	}
 	var atBarrier int64 = -1
-	if !db.RequestBarrier(func() {
+	if busy := db.RequestBarrier(func() {
 		atBarrier, _ = db.Store().Get("hot").Value().AsInt()
-	}) {
+	}); busy != nil {
 		t.Fatal("barrier refused")
 	}
 	for i := 0; i < 1000 && atBarrier < 0; i++ {
@@ -649,7 +660,7 @@ func TestRequestBarrierDuringSplitReconciles(t *testing.T) {
 func TestBarrierCompletedByClose(t *testing.T) {
 	db := manualDB(2)
 	var calls atomic.Int32
-	if !db.RequestBarrier(func() { calls.Add(1) }) {
+	if busy := db.RequestBarrier(func() { calls.Add(1) }); busy != nil {
 		t.Fatal("barrier refused")
 	}
 	db.Close()
@@ -668,7 +679,7 @@ func TestBarrierDoesNotPerturbPhaseAccounting(t *testing.T) {
 	before := db.PhaseChanges()
 	startNs := db.phaseStartNs.Load()
 	ran := false
-	if !db.RequestBarrier(func() { ran = true }) {
+	if busy := db.RequestBarrier(func() { ran = true }); busy != nil {
 		t.Fatal("barrier refused")
 	}
 	for i := 0; i < 1000 && !ran; i++ {

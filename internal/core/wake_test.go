@@ -208,7 +208,7 @@ func TestWakeCompletesBarrier(t *testing.T) {
 	db := manualDB(2)
 	startWakeDriver(t, db)
 	ran := make(chan struct{})
-	if !db.RequestBarrier(func() { close(ran) }) {
+	if busy := db.RequestBarrier(func() { close(ran) }); busy != nil {
 		t.Fatal("barrier refused")
 	}
 	await(t, ran, "the barrier")

@@ -29,9 +29,6 @@ var ErrStopped = errors.New("repl: follower stopped")
 type Options struct {
 	// Poll is the tail polling interval; values <= 0 mean 1ms.
 	Poll time.Duration
-	// Parallelism caps the goroutines used to decode the bootstrap
-	// snapshot; values below 1 mean GOMAXPROCS.
-	Parallelism int
 	// StateDir, when set, enables follower-side checkpointing: the
 	// follower periodically persists its materialized store plus the log
 	// position it is consistent with, and a restart resumes from that
@@ -76,7 +73,6 @@ type Follower struct {
 	st   *store.Store
 	cur  *wal.Cursor
 	poll time.Duration
-	par  int
 
 	// Follower-side checkpointing state; all fields below are owned by
 	// the tail goroutine except the counters mirrored under mu.
@@ -125,7 +121,6 @@ func Open(dir string, opts Options) (*Follower, error) {
 	f := &Follower{
 		dir:       dir,
 		poll:      poll,
-		par:       opts.Parallelism,
 		stateDir:  opts.StateDir,
 		ckptEvery: opts.CheckpointEvery,
 		stop:      make(chan struct{}),
@@ -162,10 +157,7 @@ func (f *Follower) bootstrapFresh() error {
 		return err
 	}
 	st := store.New()
-	// tidFiltered=true: redo records in live segments are replayed after
-	// (and during catch-up, conceptually concurrently with) the snapshot,
-	// so installs must go through the highest-TID-wins filter.
-	n, err := checkpoint.LoadSnapshot(f.dir, man, st, f.par, true)
+	n, err := checkpoint.LoadSnapshot(f.dir, man, st)
 	if err != nil {
 		cur.Close()
 		return err
@@ -192,7 +184,7 @@ func (f *Follower) tryResume() (bool, error) {
 		return false, err
 	}
 	st := store.New()
-	n, err := loadSnapshotFile(f.stateDir, s.Snapshot, st, f.par)
+	n, err := loadSnapshotFile(f.stateDir, s.Snapshot, st)
 	if err != nil {
 		cur.Close()
 		return false, err
@@ -249,7 +241,7 @@ func (f *Follower) rebootstrap() error {
 		return err
 	}
 	st := store.New()
-	n, err := checkpoint.LoadSnapshot(f.dir, man, st, f.par, true)
+	n, err := checkpoint.LoadSnapshot(f.dir, man, st)
 	if err != nil {
 		cur.Close()
 		return err

@@ -324,7 +324,11 @@ func TestFollowerSurvivesCheckpointGC(t *testing.T) {
 	}
 	snap := wal.SnapshotFileName(seq)
 	if _, err := wal.WriteFileAtomic(dir, snap, func(w io.Writer) error {
-		return store.WriteSnapshot(w, nil)
+		sw, err := store.NewSnapshotWriter(w)
+		if err != nil {
+			return err
+		}
+		return sw.Close()
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 
 	"doppel/internal/store"
@@ -95,14 +96,14 @@ func writeSnapshotFile(dir, name string, st *store.Store) (int, error) {
 	return count, err
 }
 
-// loadSnapshotFile reads a follower snapshot into st.
-func loadSnapshotFile(dir, name string, st *store.Store, par int) (int, error) {
+// loadSnapshotFile reads a follower snapshot into st, through the same
+// highest-TID-wins install as a primary-checkpoint bootstrap, so the
+// suffix records replayed after it merge correctly.
+func loadSnapshotFile(dir, name string, st *store.Store) (int, error) {
 	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	// tidFiltered: suffix records replayed after the snapshot go through
-	// the highest-TID-wins filter, same as primary-checkpoint bootstrap.
-	return store.ReadSnapshotInto(f, st, par, true)
+	return store.ReadSnapshotInto(f, st, runtime.GOMAXPROCS(0))
 }

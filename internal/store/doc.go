@@ -15,15 +15,21 @@
 // record carries a TID strictly greater than the record's previous one.
 // The commit protocols guarantee this during normal operation (commit
 // TIDs exceed every observed TID), recovery preserves it by restoring
-// pre-crash TIDs (PreloadTID) and applying redo records under the
-// highest-TID-wins rule (Record.InstallIfNewer). Everything downstream
-// leans on it: OCC validation, snapshot/replay deduplication, and the
-// order-independence of parallel recovery.
+// pre-crash TIDs and installing snapshot entries and redo records under
+// the highest-TID-wins rule (Record.InstallRecovered,
+// Record.InstallIfNewer). Everything downstream leans on it: OCC
+// validation, snapshot/replay deduplication, and the order-independence
+// of parallel recovery.
 //
 // # Durability hooks
 //
-// snapshot.go defines the checkpoint snapshot codec (canonical,
-// CRC-framed, loadable in parallel with ReadSnapshotInto); cow.go
+// snapshot.go defines the one checkpoint snapshot format — CRC-framed
+// entries streamed without an up-front count, closed by a terminator
+// frame that carries it — and the one install rule: ReadSnapshotInto
+// decodes in parallel and installs every entry through the per-key
+// highest-TID-wins filter (Record.InstallRecovered), so a load is
+// correct whether log replay runs into the same store before, during or
+// after it. ReadSnapshot is the sequential reference reader. cow.go
 // implements the incremental copy-on-write capture protocol that lets a
 // checkpoint collect a consistent snapshot concurrently with writers
 // after an O(1) barrier. Engines that install values while a capture

@@ -147,8 +147,9 @@ func (r *Record) InstallIfNewer(v *Value, tid uint64) bool {
 	return true
 }
 
-// InstallRecovered installs a snapshot entry (v, tid) during overlapped
-// recovery, when segment replay may already have written the record. It
+// InstallRecovered installs a snapshot entry (v, tid) during recovery or
+// a follower's bootstrap, when segment replay may already have written
+// the record. It
 // installs unless the record holds state from a strictly newer TID, and
 // — unlike InstallIfNewer — also installs at equal TIDs while the
 // record is still empty: snapshot entries captured before any commit

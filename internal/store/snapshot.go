@@ -7,21 +7,18 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// snapshotMagic begins every count-prefixed (v1) snapshot stream.
-var snapshotMagic = []byte("DOPSNAP1")
+// snapshotMagic begins every snapshot stream: frames follow the magic
+// directly, with no up-front entry count — the writer does not know it
+// until the walk completes — and the stream ends with a terminator frame
+// carrying the count as a cross-check. Any other magic, including the
+// retired count-prefixed format's, is rejected.
+var snapshotMagic = []byte("DOPSNAP2")
 
-// snapshotMagic2 begins every streamed (v2) snapshot: frames follow the
-// magic directly, with no up-front entry count — the writer does not
-// know it until the walk completes — and the stream ends with a
-// terminator frame carrying the count as a cross-check.
-var snapshotMagic2 = []byte("DOPSNAP2")
-
-// snapEndMarker is the bodyLen sentinel of the v2 terminator frame. Real
+// snapEndMarker is the bodyLen sentinel of the terminator frame. Real
 // bodies are capped at 1<<30 bytes, so the marker can never be confused
 // with one.
 const snapEndMarker = ^uint32(0)
@@ -39,12 +36,10 @@ type SnapshotEntry struct {
 }
 
 // SnapshotEntries captures every record as a SnapshotEntry, in
-// unspecified order: it runs inside the checkpoint barrier with every
-// worker stalled, so it does only pointer collection — WriteSnapshot
-// sorts later, off the barrier. The store must be quiescent (no
-// in-flight commits) — the barrier guarantees that; values are
-// immutable, so holding the returned pointers is safe while the store
-// keeps running afterwards.
+// unspecified order. The store must be quiescent (no in-flight
+// commits); values are immutable, so holding the returned pointers is
+// safe while the store keeps running afterwards. Checkpoints of a live
+// store use the copy-on-write capture instead (cow.go).
 func (s *Store) SnapshotEntries() []SnapshotEntry {
 	out := make([]SnapshotEntry, 0, s.Len())
 	s.Range(func(key string, r *Record) bool {
@@ -55,49 +50,14 @@ func (s *Store) SnapshotEntries() []SnapshotEntry {
 	return out
 }
 
-// PreloadTID is Preload but also installs the record's TID. Recovery
-// uses it so that replayed state carries the commit TIDs it had before
-// the crash.
+// PreloadTID is Preload but also installs the record's TID. The
+// sequential reference loader (checkpoint.Recovered.BuildStore) uses it
+// so that replayed state carries the commit TIDs it had before the
+// crash.
 func (s *Store) PreloadTID(key string, v *Value, tid uint64) {
 	r, _ := s.GetOrCreate(key)
 	r.SetValue(v)
 	r.SetTID(tid)
-}
-
-// WriteSnapshot serializes entries to w in the count-prefixed v1 format:
-//
-//	magic | u64 count | count × (u32 bodyLen | u32 crc(body) | body)
-//	body = u32 keyLen | key | u64 tid | encoded value
-//
-// Entries are stable-sorted by key in place first, so snapshots of
-// identical state are byte-identical (canonical) regardless of the
-// store's iteration order. Checkpoints of a live store stream through a
-// SnapshotWriter instead, which trades canonical order for bounded
-// memory.
-func WriteSnapshot(w io.Writer, entries []SnapshotEntry) error {
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(snapshotMagic); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(entries)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var body []byte
-	for _, e := range entries {
-		body = appendSnapshotBody(body[:0], e)
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, snapCastagnoli))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(body); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // appendSnapshotBody appends one entry's frame body to dst.
@@ -108,24 +68,29 @@ func appendSnapshotBody(dst []byte, e SnapshotEntry) []byte {
 	return AppendValue(dst, e.Value)
 }
 
-// SnapshotWriter streams snapshot entries to a writer in the v2 format,
-// one CRC-framed entry at a time, without knowing the entry count up
-// front. It reuses one internal buffer across Write calls, so encoding
-// a store of any size costs O(largest entry) memory — the property the
-// streaming checkpoint walk depends on. Close writes the terminator
-// frame (carrying the final count as a corruption cross-check) and
-// flushes; a SnapshotWriter that is never Closed produces a stream
-// readers reject as truncated.
+// SnapshotWriter streams snapshot entries to a writer, one CRC-framed
+// entry at a time, without knowing the entry count up front. It reuses
+// one internal buffer across Write calls, so encoding a store of any
+// size costs O(largest entry) memory — the property the streaming
+// checkpoint walk depends on. Close writes the terminator frame
+// (carrying the final count as a corruption cross-check) and flushes; a
+// SnapshotWriter that is never Closed produces a stream readers reject
+// as truncated. The format:
+//
+//	magic | frame* | terminator
+//	frame      = u32 bodyLen | u32 crc(body) | body
+//	body       = u32 keyLen | key | u64 tid | encoded value
+//	terminator = u32 0xFFFFFFFF | u32 crc(count) | u64 count
 type SnapshotWriter struct {
 	bw  *bufio.Writer
 	n   uint64
 	buf []byte
 }
 
-// NewSnapshotWriter starts a v2 snapshot stream on w.
+// NewSnapshotWriter starts a snapshot stream on w.
 func NewSnapshotWriter(w io.Writer) (*SnapshotWriter, error) {
 	sw := &SnapshotWriter{bw: bufio.NewWriterSize(w, 1<<16), buf: make([]byte, 8)}
-	if _, err := sw.bw.Write(snapshotMagic2); err != nil {
+	if _, err := sw.bw.Write(snapshotMagic); err != nil {
 		return nil, err
 	}
 	return sw, nil
@@ -163,41 +128,24 @@ func (sw *SnapshotWriter) Close() error {
 	return sw.bw.Flush()
 }
 
-// snapFraming drives version-dependent frame iteration for both
-// snapshot readers: v1 streams read a declared count of frames, v2
-// streams read frames until the terminator and validate its count.
+// snapFraming drives frame iteration for both snapshot readers: it
+// reads frames until the terminator and validates its count.
 type snapFraming struct {
-	br    *bufio.Reader
-	v2    bool
-	count uint64 // v1: declared up front; v2: validated at the terminator
-	seen  uint64
+	br   *bufio.Reader
+	seen uint64
 }
 
-// newSnapFraming consumes the magic (and, for v1, the count header).
+// newSnapFraming consumes and checks the magic.
 func newSnapFraming(r io.Reader, bufSize int) (*snapFraming, error) {
 	br := bufio.NewReaderSize(r, bufSize)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("store: short snapshot magic: %w", err)
 	}
-	sf := &snapFraming{br: br}
-	switch string(magic) {
-	case string(snapshotMagic):
-	case string(snapshotMagic2):
-		sf.v2 = true
-		return sf, nil
-	default:
+	if string(magic) != string(snapshotMagic) {
 		return nil, errors.New("store: bad snapshot magic")
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("store: short snapshot count: %w", err)
-	}
-	sf.count = binary.LittleEndian.Uint64(hdr[:])
-	if sf.count > 1<<40 {
-		return nil, fmt.Errorf("store: implausible snapshot entry count %d", sf.count)
-	}
-	return sf, nil
+	return &snapFraming{br: br}, nil
 }
 
 // next returns the next frame's raw body and declared CRC (unverified —
@@ -205,16 +153,13 @@ func newSnapFraming(r io.Reader, bufSize int) (*snapFraming, error) {
 // at a validated end of stream. Trailing bytes after the logical end
 // mean the writer and reader disagree about the format and are rejected.
 func (sf *snapFraming) next() (body []byte, crc uint32, done bool, err error) {
-	if !sf.v2 && sf.seen == sf.count {
-		return nil, 0, true, sf.expectEOF()
-	}
 	var hdr [8]byte
 	if _, err := io.ReadFull(sf.br, hdr[:]); err != nil {
 		return nil, 0, false, fmt.Errorf("store: truncated snapshot entry %d: %w", sf.seen, err)
 	}
 	bodyLen := binary.LittleEndian.Uint32(hdr[:4])
 	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if sf.v2 && bodyLen == snapEndMarker {
+	if bodyLen == snapEndMarker {
 		var cnt [8]byte
 		if _, err := io.ReadFull(sf.br, cnt[:]); err != nil {
 			return nil, 0, false, fmt.Errorf("store: truncated snapshot terminator: %w", err)
@@ -225,7 +170,6 @@ func (sf *snapFraming) next() (body []byte, crc uint32, done bool, err error) {
 		if n := binary.LittleEndian.Uint64(cnt[:]); n != sf.seen {
 			return nil, 0, false, fmt.Errorf("store: snapshot terminator count %d, read %d entries", n, sf.seen)
 		}
-		sf.count = sf.seen
 		return nil, 0, true, sf.expectEOF()
 	}
 	if bodyLen > 1<<30 {
@@ -246,10 +190,10 @@ func (sf *snapFraming) expectEOF() error {
 	return nil
 }
 
-// ReadSnapshot parses a snapshot stream (either format) into a slice.
-// Unlike WAL replay, a snapshot is all-or-nothing: it is published
-// atomically by manifest install, so any truncation or corruption is an
-// error, never a silent partial result.
+// ReadSnapshot parses a snapshot stream into a slice. Unlike WAL
+// replay, a snapshot is all-or-nothing: it is published atomically by
+// manifest install, so any truncation or corruption is an error, never
+// a silent partial result.
 func ReadSnapshot(r io.Reader) ([]SnapshotEntry, error) {
 	sf, err := newSnapFraming(r, 1<<16)
 	if err != nil {
@@ -282,25 +226,24 @@ type snapFrame struct {
 	crc  uint32
 }
 
-// ReadSnapshotInto streams a snapshot (either format) directly into st
-// with parallelism decoder goroutines and returns the number of entries
-// loaded. The reader goroutine does only framing I/O; CRC verification,
-// value decoding and store insertion run on the decoders, sharded by
-// key hash so shard-lock contention between decoders stays low (safety
-// does not depend on the sharding — concurrent inserts are protected by
-// the store's shard mutexes).
+// ReadSnapshotInto streams a snapshot directly into st with parallelism
+// decoder goroutines and returns the number of entries loaded. The
+// reader goroutine does only framing I/O; CRC verification, value
+// decoding and store insertion run on the decoders, sharded by key hash
+// so shard-lock contention between decoders stays low (safety does not
+// depend on the sharding — concurrent inserts are protected by the
+// store's shard mutexes).
 //
-// tidFiltered selects the install rule. false is the exclusive recovery
-// path: entries install unconditionally with PreloadTID, so st must not
-// be written by anyone else during the load. true installs through
-// Record.InstallRecovered — a per-key TID filter under the record lock —
-// which lets WAL segment replay run into the same store concurrently
-// with the snapshot load (overlapped recovery): whichever writer carries
-// the higher TID for a key wins regardless of arrival order.
+// Entries install through Record.InstallRecovered — a per-key TID
+// filter under the record lock — so WAL segment replay may run into the
+// same store before or concurrently with the snapshot load (recovery
+// overlaps the two; a follower replays its log suffix after it):
+// whichever writer carries the higher TID for a key wins regardless of
+// arrival order.
 //
 // Corruption semantics match ReadSnapshot: any truncated or corrupt
 // frame fails the whole load.
-func ReadSnapshotInto(r io.Reader, st *Store, parallelism int, tidFiltered bool) (int, error) {
+func ReadSnapshotInto(r io.Reader, st *Store, parallelism int) (int, error) {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -338,12 +281,8 @@ func ReadSnapshotInto(r io.Reader, st *Store, parallelism int, tidFiltered bool)
 					setErr(fmt.Errorf("store: snapshot entry: %w", err))
 					continue
 				}
-				if tidFiltered {
-					rec, _ := st.GetOrCreate(e.Key)
-					rec.InstallRecovered(e.Value, e.TID)
-				} else {
-					st.PreloadTID(e.Key, e.Value, e.TID)
-				}
+				rec, _ := st.GetOrCreate(e.Key)
+				rec.InstallRecovered(e.Value, e.TID)
 			}
 		}(chans[w])
 	}

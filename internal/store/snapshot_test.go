@@ -23,11 +23,7 @@ func snapshotFixture() []SnapshotEntry {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	entries := snapshotFixture()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	got, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, entries)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +46,7 @@ func TestSnapshotEntriesCaptureState(t *testing.T) {
 	s.PreloadTID("b", IntValue(2), 0x200)
 	s.PreloadTID("a", IntValue(1), 0x100)
 	s.PreloadTID("c", BytesValue([]byte("x")), 0x300)
-	es := s.SnapshotEntries() // order unspecified: sorting happens in WriteSnapshot
+	es := s.SnapshotEntries() // order unspecified
 	if len(es) != 3 {
 		t.Fatalf("entries: %+v", es)
 	}
@@ -65,17 +61,16 @@ func TestSnapshotEntriesCaptureState(t *testing.T) {
 	if n, err := a.Value.AsInt(); err != nil || n != 1 {
 		t.Fatalf("value: %v %v", n, err)
 	}
-	// Canonical order is the codec's job.
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, es); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	// The captured entries round-trip through the codec in the order
+	// they were written.
+	got, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, es)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Key != "a" || got[1].Key != "b" || got[2].Key != "c" {
-		t.Fatalf("snapshot not sorted: %+v", got)
+	for i := range es {
+		if got[i].Key != es[i].Key || got[i].TID != es[i].TID {
+			t.Fatalf("entry %d: got %q/%d, wrote %q/%d", i, got[i].Key, got[i].TID, es[i].Key, es[i].TID)
+		}
 	}
 	// PreloadTID must leave the record unlocked and readable.
 	r := s.Get("a")
@@ -85,12 +80,7 @@ func TestSnapshotEntriesCaptureState(t *testing.T) {
 }
 
 func TestSnapshotCorruptionDetected(t *testing.T) {
-	entries := snapshotFixture()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encodeSnapshot(t, snapshotFixture())
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -121,18 +111,15 @@ func TestReadSnapshotIntoMatchesReadSnapshot(t *testing.T) {
 			Key: fmt.Sprintf("key-%04d", i), TID: uint64(i + 1), Value: IntValue(int64(i * 3)),
 		})
 	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	raw := encodeSnapshot(t, entries)
+	want, err := ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{0, 1, 3, 8} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			st := New()
-			n, err := ReadSnapshotInto(bytes.NewReader(buf.Bytes()), st, par, false)
+			n, err := ReadSnapshotInto(bytes.NewReader(raw), st, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,11 +146,7 @@ func TestReadSnapshotIntoMatchesReadSnapshot(t *testing.T) {
 // TestReadSnapshotIntoCorruptionDetected: the parallel loader keeps the
 // sequential reader's all-or-nothing corruption policy.
 func TestReadSnapshotIntoCorruptionDetected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snapshotFixture()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encodeSnapshot(t, snapshotFixture())
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -175,7 +158,7 @@ func TestReadSnapshotIntoCorruptionDetected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, par := range []int{1, 4} {
-				if _, err := ReadSnapshotInto(bytes.NewReader(tc.mutate(raw)), New(), par, false); err == nil {
+				if _, err := ReadSnapshotInto(bytes.NewReader(tc.mutate(raw)), New(), par); err == nil {
 					t.Fatalf("corruption accepted at parallelism %d", par)
 				}
 			}
@@ -185,21 +168,22 @@ func TestReadSnapshotIntoCorruptionDetected(t *testing.T) {
 
 // TestReadSnapshotIntoShortBody: a frame whose declared body is too
 // short to hold even a key length must error, not panic in the
-// key-sharding dispatch (regression: index out of range).
+// key-sharding dispatch (regression: index out of range). The stream
+// is otherwise well formed, terminator included, so only the short body
+// can object.
 func TestReadSnapshotIntoShortBody(t *testing.T) {
 	for _, bodyLen := range []int{0, 1, 2, 3} {
-		var raw []byte
-		raw = append(raw, snapshotMagic...)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint64(hdr[:], 1) // one entry
-		raw = append(raw, hdr[:]...)
+		raw := append([]byte(nil), snapshotMagic...)
 		body := make([]byte, bodyLen)
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(bodyLen))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, snapCastagnoli))
-		raw = append(raw, hdr[:]...)
+		raw = binary.LittleEndian.AppendUint32(raw, uint32(bodyLen))
+		raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(body, snapCastagnoli))
 		raw = append(raw, body...)
+		count := binary.LittleEndian.AppendUint64(nil, 1)
+		raw = binary.LittleEndian.AppendUint32(raw, snapEndMarker)
+		raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(count, snapCastagnoli))
+		raw = append(raw, count...)
 		for _, par := range []int{1, 4} {
-			if _, err := ReadSnapshotInto(bytes.NewReader(raw), New(), par, false); err == nil {
+			if _, err := ReadSnapshotInto(bytes.NewReader(raw), New(), par); err == nil {
 				t.Fatalf("bodyLen=%d accepted at parallelism %d", bodyLen, par)
 			}
 		}
@@ -209,42 +193,30 @@ func TestReadSnapshotIntoShortBody(t *testing.T) {
 	}
 }
 
-// FuzzReadSnapshot: arbitrary bytes must never panic the reader, and
-// anything it accepts must survive a write/read round trip unchanged
-// (no wrong data).
+// retiredSnapshotMagic begins the count-prefixed snapshot format that
+// readers no longer accept.
+var retiredSnapshotMagic = []byte("DOPSNAP1")
+
+// FuzzReadSnapshot: arbitrary bytes must never panic the reader,
+// anything it accepts must survive a write/read round trip through
+// SnapshotWriter unchanged (no wrong data), and a stream in the retired
+// count-prefixed format is always rejected.
 func FuzzReadSnapshot(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snapshotFixture()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	var v2 bytes.Buffer
-	sw, err := NewSnapshotWriter(&v2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, e := range snapshotFixture() {
-		if err := sw.Write(e); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
-	f.Add([]byte("DOPSNAP1"))
-	f.Add([]byte("DOPSNAP2"))
+	f.Add(encodeSnapshot(f, snapshotFixture()))
+	// A complete, empty stream in the retired format: magic + count 0.
+	f.Add(binary.LittleEndian.AppendUint64(append([]byte(nil), retiredSnapshotMagic...), 0))
+	f.Add(retiredSnapshotMagic)
+	f.Add(snapshotMagic)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var re bytes.Buffer
-		if err := WriteSnapshot(&re, entries); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
+		if bytes.HasPrefix(data, retiredSnapshotMagic) {
+			t.Fatal("accepted a stream in the retired count-prefixed format")
 		}
-		back, err := ReadSnapshot(bytes.NewReader(re.Bytes()))
+		back, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, entries)))
 		if err != nil {
 			t.Fatalf("re-read failed: %v", err)
 		}

@@ -9,34 +9,34 @@ import (
 	"testing"
 )
 
-// writeV2 streams entries through a SnapshotWriter and returns the raw
-// v2 stream.
-func writeV2(t *testing.T, entries []SnapshotEntry) []byte {
-	t.Helper()
+// encodeSnapshot streams entries through a SnapshotWriter and returns
+// the raw stream.
+func encodeSnapshot(tb testing.TB, entries []SnapshotEntry) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	sw, err := NewSnapshotWriter(&buf)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, e := range entries {
 		if err := sw.Write(e); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if sw.Count() != len(entries) {
-		t.Fatalf("Count() = %d, want %d", sw.Count(), len(entries))
+		tb.Fatalf("Count() = %d, want %d", sw.Count(), len(entries))
 	}
 	if err := sw.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestSnapshotWriterRoundTrip: the streamed v2 format round-trips
-// through both readers, preserving order, keys, TIDs and values.
+// TestSnapshotWriterRoundTrip: the streamed format round-trips through
+// both readers, preserving order, keys, TIDs and values.
 func TestSnapshotWriterRoundTrip(t *testing.T) {
 	entries := snapshotFixture()
-	raw := writeV2(t, entries)
+	raw := encodeSnapshot(t, entries)
 
 	got, err := ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
@@ -54,7 +54,7 @@ func TestSnapshotWriterRoundTrip(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		st := New()
-		n, err := ReadSnapshotInto(bytes.NewReader(raw), st, par, false)
+		n, err := ReadSnapshotInto(bytes.NewReader(raw), st, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,18 +78,18 @@ func TestSnapshotWriterRoundTrip(t *testing.T) {
 
 // TestSnapshotV2EmptyRoundTrip: a stream with zero entries is valid.
 func TestSnapshotV2EmptyRoundTrip(t *testing.T) {
-	raw := writeV2(t, nil)
+	raw := encodeSnapshot(t, nil)
 	got, err := ReadSnapshot(bytes.NewReader(raw))
 	if err != nil || len(got) != 0 {
-		t.Fatalf("empty v2 snapshot: %d entries, err=%v", len(got), err)
+		t.Fatalf("empty snapshot: %d entries, err=%v", len(got), err)
 	}
 }
 
-// TestSnapshotV2CorruptionDetected: the all-or-nothing policy holds for
-// the streamed format, including its terminator-specific failure modes
+// TestSnapshotV2CorruptionDetected: the all-or-nothing policy holds
+// for the terminator-specific failure modes too
 // (missing terminator, wrong terminator count, trailing bytes).
 func TestSnapshotV2CorruptionDetected(t *testing.T) {
-	raw := writeV2(t, snapshotFixture())
+	raw := encodeSnapshot(t, snapshotFixture())
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -113,7 +113,7 @@ func TestSnapshotV2CorruptionDetected(t *testing.T) {
 			// still decodes, only the terminator count can notice.
 			c := clone(b)
 			term := c[len(c)-16:]
-			body := c[len(snapshotMagic2) : len(c)-16]
+			body := c[len(snapshotMagic) : len(c)-16]
 			// Walk frames to find the last one's start.
 			off, last := 0, 0
 			for off < len(body) {
@@ -121,7 +121,7 @@ func TestSnapshotV2CorruptionDetected(t *testing.T) {
 				bl := int(binary.LittleEndian.Uint32(body[off:]))
 				off += 8 + bl
 			}
-			out := append([]byte{}, c[:len(snapshotMagic2)]...)
+			out := append([]byte{}, c[:len(snapshotMagic)]...)
 			out = append(out, body[:last]...)
 			return append(out, term...)
 		}},
@@ -132,7 +132,7 @@ func TestSnapshotV2CorruptionDetected(t *testing.T) {
 				t.Fatal("sequential reader accepted corruption")
 			}
 			for _, par := range []int{1, 4} {
-				if _, err := ReadSnapshotInto(bytes.NewReader(mutated), New(), par, false); err == nil {
+				if _, err := ReadSnapshotInto(bytes.NewReader(mutated), New(), par); err == nil {
 					t.Fatalf("parallel reader accepted corruption at parallelism %d", par)
 				}
 			}
@@ -140,9 +140,9 @@ func TestSnapshotV2CorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotIntoTIDFiltered: with the per-key TID filter on,
-// snapshot entries must lose to newer state already installed by
-// concurrent segment replay, win over older state, and still install
+// TestReadSnapshotIntoTIDFiltered: snapshot entries install through the
+// per-key TID filter, so they must lose to newer state already installed
+// by concurrent segment replay, win over older state, and still install
 // TID-0 entries into untouched records.
 func TestReadSnapshotIntoTIDFiltered(t *testing.T) {
 	entries := []SnapshotEntry{
@@ -152,7 +152,7 @@ func TestReadSnapshotIntoTIDFiltered(t *testing.T) {
 		{Key: "zero", TID: 0, Value: IntValue(4)},    // preloaded-before-crash record
 		{Key: "zerohit", TID: 0, Value: IntValue(5)}, // replay beat the zero entry
 	}
-	raw := writeV2(t, entries)
+	raw := encodeSnapshot(t, entries)
 	for _, par := range []int{1, 4} {
 		st := New()
 		// Simulate what concurrent segment replay may already have done.
@@ -163,7 +163,7 @@ func TestReadSnapshotIntoTIDFiltered(t *testing.T) {
 		r, _ = st.GetOrCreate("zerohit")
 		r.InstallIfNewer(IntValue(500), 700)
 
-		if _, err := ReadSnapshotInto(bytes.NewReader(raw), st, par, true); err != nil {
+		if _, err := ReadSnapshotInto(bytes.NewReader(raw), st, par); err != nil {
 			t.Fatal(err)
 		}
 		wantVal := func(key string, want int64, wantTID uint64) {

@@ -2,6 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
+	"reflect"
 	"testing"
 )
 
@@ -34,6 +37,43 @@ func FuzzReplay(f *testing.F) {
 		}
 		if !bytes.HasPrefix(data, re) {
 			t.Fatalf("replayed records re-encode to %x, not a prefix of input %x", re, data)
+		}
+	})
+}
+
+// withCRC appends the checksum line to a manifest body, as
+// writeManifest does.
+func withCRC(body string) []byte {
+	return []byte(body + fmt.Sprintf("crc=%08x\n", crc32.Checksum([]byte(body), castagnoli)))
+}
+
+// FuzzParseManifest: arbitrary bytes must never panic the manifest
+// parser, a manifest it accepts must survive a render/parse round trip
+// unchanged, and a manifest of the retired v1 format is always
+// rejected.
+func FuzzParseManifest(f *testing.F) {
+	f.Add(withCRC(manifestBody(Manifest{Snapshot: "snapshot-00000007.db", SnapshotSeq: 7, Sealed: []SegmentMeta{
+		{Seq: 7, MinTID: 100, MaxTID: 250, Records: 12},
+		{Seq: 8, MinTID: 251, MaxTID: 260, Records: 3},
+	}})))
+	f.Add(withCRC(manifestBody(Manifest{})))
+	f.Add(withCRC("doppel-manifest-v1\nseq=3\nsnapshot=snapshot-00000003.db\n"))
+	f.Add([]byte("crc=00000000\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseManifest(data)
+		if err != nil {
+			return
+		}
+		if bytes.HasPrefix(data, []byte("doppel-manifest-v1\n")) {
+			t.Fatal("accepted a v1 manifest")
+		}
+		back, err := parseManifest(withCRC(manifestBody(m)))
+		if err != nil {
+			t.Fatalf("re-parse of %+v failed: %v", m, err)
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("round trip changed the manifest: %+v became %+v", m, back)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -100,10 +101,13 @@ func (m *Manifest) SealedFor(seq uint64) *SegmentMeta {
 	return nil
 }
 
+// manifestVersion is the first line of every manifest.
+const manifestVersion = "doppel-manifest-v2"
+
 // manifestBody renders the checksummed portion of the manifest.
 func manifestBody(m Manifest) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "doppel-manifest-v2\nseq=%d\nsnapshot=%s\n", m.SnapshotSeq, m.Snapshot)
+	fmt.Fprintf(&b, "%s\nseq=%d\nsnapshot=%s\n", manifestVersion, m.SnapshotSeq, m.Snapshot)
 	for _, s := range m.Sealed {
 		fmt.Fprintf(&b, "segment=%d %d %d %d\n", s.Seq, s.MinTID, s.MaxTID, s.Records)
 	}
@@ -123,10 +127,11 @@ func writeManifest(dir string, m Manifest) error {
 
 // ReadManifest loads dir's manifest. ok is false (with a zero Manifest
 // and nil error) when no manifest exists, i.e. no checkpoint or sealing
-// rotation has ever completed. Both the current v2 format and the
-// segment-metadata-less v1 format are accepted. A present-but-corrupt
-// manifest is an error: segments named only by the manifest may already
-// be garbage-collected, so guessing would risk silently wrong recovery.
+// rotation has ever completed. Only the current format is accepted: a
+// manifest of another version — including the retired v1 format, which
+// carried no segment metadata — is an error. So is a present-but-corrupt
+// manifest: segments named only by the manifest may already be
+// garbage-collected, so guessing would risk silently wrong recovery.
 func ReadManifest(dir string) (m Manifest, ok bool, err error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -135,39 +140,50 @@ func ReadManifest(dir string) (m Manifest, ok bool, err error) {
 		}
 		return Manifest{}, false, err
 	}
+	m, err = parseManifest(raw)
+	if err != nil {
+		return Manifest{}, false, fmt.Errorf("%w in %s", err, dir)
+	}
+	return m, true, nil
+}
+
+// parseManifest decodes a manifest file's contents: the body that
+// manifestBody renders, followed by its checksum line.
+func parseManifest(raw []byte) (Manifest, error) {
+	var m Manifest
 	content := string(raw)
 	i := strings.LastIndex(content, "crc=")
 	if i < 0 || !strings.HasSuffix(content, "\n") {
-		return Manifest{}, false, fmt.Errorf("wal: malformed manifest in %s", dir)
+		return m, errors.New("wal: malformed manifest")
 	}
 	body, crcLine := content[:i], content[i:]
 	var wantCRC uint32
 	if n, err := fmt.Sscanf(crcLine, "crc=%08x\n", &wantCRC); n != 1 || err != nil {
-		return Manifest{}, false, fmt.Errorf("wal: malformed manifest crc in %s", dir)
+		return m, errors.New("wal: malformed manifest crc")
 	}
 	if crc32.Checksum([]byte(body), castagnoli) != wantCRC {
-		return Manifest{}, false, fmt.Errorf("wal: manifest checksum mismatch in %s", dir)
+		return m, errors.New("wal: manifest checksum mismatch")
 	}
 	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
-	if len(lines) < 3 || (lines[0] != "doppel-manifest-v1" && lines[0] != "doppel-manifest-v2") {
-		return Manifest{}, false, fmt.Errorf("wal: unsupported manifest version in %s", dir)
+	if len(lines) < 3 || lines[0] != manifestVersion {
+		return m, fmt.Errorf("wal: unsupported manifest version %q", lines[0])
 	}
 	if n, err := fmt.Sscanf(lines[1], "seq=%d", &m.SnapshotSeq); n != 1 || err != nil {
-		return Manifest{}, false, fmt.Errorf("wal: malformed manifest seq in %s", dir)
+		return m, errors.New("wal: malformed manifest seq")
 	}
 	m.Snapshot = strings.TrimPrefix(lines[2], "snapshot=")
 	if m.Snapshot == lines[2] {
-		return Manifest{}, false, fmt.Errorf("wal: malformed manifest snapshot in %s", dir)
+		return m, errors.New("wal: malformed manifest snapshot")
 	}
 	for _, line := range lines[3:] {
 		var sm SegmentMeta
 		if n, err := fmt.Sscanf(line, "segment=%d %d %d %d", &sm.Seq, &sm.MinTID, &sm.MaxTID, &sm.Records); n != 4 || err != nil {
-			return Manifest{}, false, fmt.Errorf("wal: malformed manifest segment line in %s", dir)
+			return m, errors.New("wal: malformed manifest segment line")
 		}
 		if k := len(m.Sealed); k > 0 && sm.Seq <= m.Sealed[k-1].Seq {
-			return Manifest{}, false, fmt.Errorf("wal: manifest segment lines out of order in %s", dir)
+			return m, errors.New("wal: manifest segment lines out of order")
 		}
 		m.Sealed = append(m.Sealed, sm)
 	}
-	return m, true, nil
+	return m, nil
 }

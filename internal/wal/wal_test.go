@@ -2,11 +2,10 @@ package wal
 
 import (
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -336,21 +335,22 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestV1Compat: manifests written before segment metadata
-// existed (format v1) must still load, with no sealed-segment ranges.
-func TestManifestV1Compat(t *testing.T) {
+// TestManifestV1Rejected: the retired segment-metadata-less v1 format
+// is no longer read. A v1 manifest with a valid checksum must fail
+// loudly, naming the unsupported version, rather than load without
+// sealed-segment ranges.
+func TestManifestV1Rejected(t *testing.T) {
 	dir := t.TempDir()
-	body := "doppel-manifest-v1\nseq=3\nsnapshot=snapshot-00000003.db\n"
-	content := body + fmt.Sprintf("crc=%08x\n", crc32.Checksum([]byte(body), castagnoli))
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(content), 0o644); err != nil {
+	raw := withCRC("doppel-manifest-v1\nseq=3\nsnapshot=snapshot-00000003.db\n")
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, err := ReadManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("v1 manifest rejected: ok=%v err=%v", ok, err)
+	if err == nil || ok {
+		t.Fatalf("v1 manifest accepted as %+v (ok=%v)", got, ok)
 	}
-	if got.Snapshot != "snapshot-00000003.db" || got.SnapshotSeq != 3 || len(got.Sealed) != 0 {
-		t.Fatalf("v1 manifest parsed as %+v", got)
+	if !strings.Contains(err.Error(), "doppel-manifest-v1") {
+		t.Fatalf("error %q does not name the unsupported version", err)
 	}
 }
 

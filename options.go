@@ -56,22 +56,6 @@ type Options struct {
 	// file small between checkpoints and give parallel recovery units of
 	// work. Requires RedoLog.
 	MaxSegmentBytes int64
-	// RecoveryParallelism caps the goroutines Recover uses to decode the
-	// snapshot and replay WAL segments; 0 means GOMAXPROCS. 1 forces
-	// sequential recovery.
-	RecoveryParallelism int
-	// RecoveryOverlap starts WAL segment replay concurrently with the
-	// snapshot load instead of after it, cutting total recovery time to
-	// roughly max(snapshot, segments) instead of their sum. Snapshot
-	// entries then install through the same per-key highest-TID-wins
-	// filter replay uses, so the interleaving cannot change the result.
-	RecoveryOverlap bool
-	// CheckpointFrameBuffer bounds how many snapshot entries may sit
-	// between the checkpoint's store walker and its file writer. The
-	// streaming walk never materializes the store, so checkpoint memory
-	// is O(frame buffer), not O(records); 0 means a sensible default
-	// (1024). Requires RedoLog.
-	CheckpointFrameBuffer int
 	// SyncCommit makes Exec/ExecAsync wait for the transaction's redo
 	// record to be written and fsynced before acknowledging: an
 	// acknowledged commit then survives any crash. The wait is on the
@@ -132,7 +116,6 @@ func (o Options) Validate() error {
 		}{
 			{"CheckpointEvery", o.CheckpointEvery > 0},
 			{"MaxSegmentBytes", o.MaxSegmentBytes > 0},
-			{"CheckpointFrameBuffer", o.CheckpointFrameBuffer > 0},
 			{"SyncCommit", o.SyncCommit},
 			{"ScrubEvery", o.ScrubEvery > 0},
 			{"WALFailStop", o.WALFailStop},

@@ -18,7 +18,6 @@ func TestOptionsValidateMatrix(t *testing.T) {
 	}{
 		{"CheckpointEvery", Options{CheckpointEvery: time.Second}},
 		{"MaxSegmentBytes", Options{MaxSegmentBytes: 1 << 20}},
-		{"CheckpointFrameBuffer", Options{CheckpointFrameBuffer: 64}},
 		{"SyncCommit", Options{SyncCommit: true}},
 		{"ScrubEvery", Options{ScrubEvery: time.Minute}},
 		{"WALFailStop", Options{WALFailStop: true}},
@@ -43,25 +42,24 @@ func TestOptionsValidateMatrix(t *testing.T) {
 }
 
 // TestOptionsValidateReportsEveryViolation sets every RedoLog-requiring
-// option plus a negative worker count at once and requires all seven
+// option plus a negative worker count at once and requires all six
 // violations in one error, not just the first.
 func TestOptionsValidateReportsEveryViolation(t *testing.T) {
 	opts := Options{
-		Workers:               -2,
-		CheckpointEvery:       time.Second,
-		MaxSegmentBytes:       1,
-		CheckpointFrameBuffer: 8,
-		SyncCommit:            true,
-		ScrubEvery:            time.Minute,
-		WALFailStop:           true,
+		Workers:         -2,
+		CheckpointEvery: time.Second,
+		MaxSegmentBytes: 1,
+		SyncCommit:      true,
+		ScrubEvery:      time.Minute,
+		WALFailStop:     true,
 	}
 	err := opts.Validate()
 	if !errors.Is(err, ErrRequiresRedoLog) {
 		t.Fatalf("Validate() = %v, want ErrRequiresRedoLog", err)
 	}
 	for _, want := range []string{
-		"CheckpointEvery", "MaxSegmentBytes", "CheckpointFrameBuffer",
-		"SyncCommit", "ScrubEvery", "WALFailStop", "Workers",
+		"CheckpointEvery", "MaxSegmentBytes", "SyncCommit",
+		"ScrubEvery", "WALFailStop", "Workers",
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Validate() = %q, missing violation %s", err, want)
@@ -74,7 +72,7 @@ func TestOptionsValidateAccepts(t *testing.T) {
 		{},
 		{Workers: 8, PhaseLength: time.Millisecond},
 		{RedoLog: "dir", CheckpointEvery: time.Second, MaxSegmentBytes: 1,
-			CheckpointFrameBuffer: 1, SyncCommit: true, WALFailStop: true},
+			SyncCommit: true, WALFailStop: true},
 	} {
 		if err := opts.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", opts, err)

@@ -40,9 +40,6 @@ type FollowerOptions struct {
 	// records; values <= 0 mean 1ms. Lag is bounded below by this plus
 	// the primary's group-commit latency.
 	PollInterval time.Duration
-	// RecoveryParallelism caps the goroutines used to decode the
-	// bootstrap checkpoint snapshot; values below 1 mean GOMAXPROCS.
-	RecoveryParallelism int
 	// StateDir, when set, enables follower-side checkpointing: the
 	// replica periodically persists its materialized store plus the log
 	// position it is consistent with, and a restart with the same
@@ -76,7 +73,6 @@ type Replica struct {
 func OpenFollower(dir string, opts FollowerOptions) (*Replica, error) {
 	f, err := repl.Open(dir, repl.Options{
 		Poll:            opts.PollInterval,
-		Parallelism:     opts.RecoveryParallelism,
 		StateDir:        opts.StateDir,
 		CheckpointEvery: opts.CheckpointEvery,
 	})
