@@ -661,6 +661,88 @@ func TestRecoveredTIDsStayMonotonic(t *testing.T) {
 	}
 }
 
+// TestOverlappedRecoveryMatchesSequential: overlapping segment replay
+// with the snapshot load must rebuild exactly the state the sequential
+// reference loader (checkpoint.Load + BuildStore) does — the end-to-end
+// check that the per-key TID filter makes the snapshot/segment
+// interleaving order-independent. Unlike
+// TestParallelRecoveryMatchesSequential the workload has one writer, so
+// the log order is the commit order, and recovery runs twice over the
+// same directory: whatever order the overlap installs in, both runs
+// must agree with the reference and with each other.
+func TestOverlappedRecoveryMatchesSequential(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenErr(Options{
+		Workers:         2,
+		PhaseLength:     2 * time.Millisecond,
+		RedoLog:         dir,
+		MaxSegmentBytes: 2 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SplitHint("hot", OpAdd)
+	const txns = 1500
+	run := func(base int) {
+		for i := 0; i < txns/2; i++ {
+			key := fmt.Sprintf("k%d", (i+base)%97)
+			if i%10 == 0 {
+				key = "hot"
+			}
+			if err := db.Exec(func(tx Tx) error { return tx.Add(key, 1) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(0)
+	// A mid-run checkpoint gives recovery both a snapshot and a segment
+	// tail, so the overlap actually has two streams to interleave.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	run(31)
+	db.Close()
+	want := storeState(db.Internal().Store())
+
+	ref, err := checkpoint.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refStore, err := ref.BuildStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Snapshot) == 0 || len(ref.Records) == 0 {
+		t.Fatalf("scenario too weak — snapshot %d entries, %d records", len(ref.Snapshot), len(ref.Records))
+	}
+
+	states := map[string]map[string]string{"sequential": storeState(refStore)}
+	for _, name := range []string{"overlapped", "overlapped again"} {
+		over, err := Recover(dir, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[name] = storeState(over.Internal().Store())
+		ors := over.LastRecovery()
+		over.Close()
+		if ors.SnapshotEntries != len(ref.Snapshot) || ors.RecordsReplayed != len(ref.Records) {
+			t.Fatalf("%s recovery read %d snapshot entries and %d records, the sequential loader %d and %d",
+				name, ors.SnapshotEntries, ors.RecordsReplayed, len(ref.Snapshot), len(ref.Records))
+		}
+	}
+
+	for name, got := range states {
+		if len(got) != len(want) {
+			t.Fatalf("%s recovery: %d keys, want %d", name, len(got), len(want))
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("%s recovery: key %q = %x, want %x", name, k, got[k], v)
+			}
+		}
+	}
+}
+
 // TestWALFailStop kills the redo log mid-run (the next segment's path is
 // occupied by a directory, so rotation's open fails terminally) and
 // checks the fail-stop contract: the failure surfaces through WALErr and
