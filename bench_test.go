@@ -2,112 +2,139 @@ package doppel_test
 
 // One benchmark per table and figure of the paper's evaluation (§8).
 //
-// The Sim benchmarks run a representative point of each experiment on
-// the multicore simulator and report simulated throughput; run
+// Each runs one representative point of its experiment: a 50 ms
+// bench.RunLoad on a fresh engine per iteration, reporting committed
+// transactions per second (or the figure's own metric). Run
 // `doppel-bench -experiment <name>` for the full sweep behind each
-// figure. The Real benchmarks measure the actual engines on this
-// machine: per-transaction cost of each concurrency-control scheme. On a
-// single-CPU host the real engines cannot show parallel speedup — that
-// is exactly what internal/sim substitutes for (see DESIGN.md §2).
+// figure. The RealAdd benchmarks measure one worker's per-transaction
+// cost under each concurrency-control scheme. On a host with few CPUs
+// the engines cannot show the paper's many-core speedups.
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"doppel"
-	"doppel/internal/atomiceng"
 	"doppel/internal/bench"
 	"doppel/internal/core"
 	"doppel/internal/engine"
-	"doppel/internal/occ"
 	"doppel/internal/rng"
-	"doppel/internal/sim"
+	"doppel/internal/rubis"
 	"doppel/internal/store"
-	"doppel/internal/twopl"
 	"doppel/internal/workload"
 )
 
-// simPoint runs one simulator configuration per benchmark iteration and
-// reports simulated transactions/second.
-func simPoint(b *testing.B, kind sim.Kind, gen sim.Generator, records int) {
+const (
+	pointWorkers = 2
+	pointRecords = 10_000
+	pointLength  = 50 * time.Millisecond
+)
+
+// loadPoint runs gen on a fresh engine for pointLength per iteration
+// and reports committed transactions per second. report, when non-nil,
+// sees the engine (before Stop) and the last iteration's result.
+func loadPoint(b *testing.B, name string, workers int, preload func(*store.Store), gen workload.Generator,
+	tune func(*core.Config), report func(engine.Engine, bench.Result)) {
 	b.Helper()
-	cfg := sim.Config{
-		Engine:   kind,
-		Cores:    20,
-		Records:  records,
-		Warmup:   20_000_000,
-		Duration: 50_000_000,
-		Seed:     42,
-	}
-	var tput float64
 	for i := 0; i < b.N; i++ {
-		res := sim.Run(cfg, gen)
-		tput = res.Throughput
+		e, _ := bench.Open(name, workers, preload, tune)
+		res := bench.RunLoad(e, gen, bench.Options{Duration: pointLength, Seed: uint64(i + 1)})
+		if report != nil && i == b.N-1 {
+			report(e, res)
+		}
+		e.Stop()
+		b.ReportMetric(res.Throughput, "txn/s")
 	}
-	b.ReportMetric(tput, "sim-txn/s")
+}
+
+// eachEngine runs fn as one sub-benchmark per named engine.
+func eachEngine(b *testing.B, names []string, fn func(b *testing.B, name string)) {
+	for _, name := range names {
+		b.Run(name, func(b *testing.B) { fn(b, name) })
+	}
+}
+
+var incrKeys = workload.NewKeySpace('k', pointRecords)
+
+func counters(st *store.Store) {
+	for i := 0; i < incrKeys.N(); i++ {
+		st.Preload(incrKeys.Key(i), store.IntValue(0))
+	}
+}
+
+// likeLoad is LIKE over pointRecords/2 users and pages, alpha = 1.4.
+func likeLoad(writeFrac float64) (func(*store.Store), workload.Generator) {
+	users := workload.NewKeySpace('u', pointRecords/2)
+	pages := workload.NewKeySpace('p', pointRecords/2)
+	preload := func(st *store.Store) {
+		for i := 0; i < users.N(); i++ {
+			st.Preload(users.Key(i), store.BytesValue(nil))
+			st.Preload(pages.Key(i), store.IntValue(0))
+		}
+	}
+	return preload, &workload.Like{Users: users, Pages: pages,
+		PageZipf: workload.NewZipf(pages.N(), 1.4), WriteFrac: writeFrac}
+}
+
+// rubisC is RUBiS-C over pointRecords users and 330 auctions.
+func rubisC(alpha float64) (func(*store.Store), workload.Generator) {
+	app := rubis.NewApp(pointRecords, pointRecords*33/1000, pointWorkers)
+	return app.Preload, rubis.NewMixC(app, alpha, true)
 }
 
 // --- Figure 8: INCR1 vs hot fraction (the 100% point, where the paper
-// reports its 38x/19x/6.2x headline ratios). ---
+// reports its 38x/19x/6.2x headline ratios on 20 cores). ---
 
-func BenchmarkFig8INCR1Hot100Doppel(b *testing.B) {
-	simPoint(b, sim.Doppel, sim.IncrGen(100_000, 1.0, 0), 100_000)
-}
-func BenchmarkFig8INCR1Hot100OCC(b *testing.B) {
-	simPoint(b, sim.OCC, sim.IncrGen(100_000, 1.0, 0), 100_000)
-}
-func BenchmarkFig8INCR1Hot100TwoPL(b *testing.B) {
-	simPoint(b, sim.TwoPL, sim.IncrGen(100_000, 1.0, 0), 100_000)
-}
-func BenchmarkFig8INCR1Hot100Atomic(b *testing.B) {
-	simPoint(b, sim.Atomic, sim.IncrGen(100_000, 1.0, 0), 100_000)
+func BenchmarkFig8INCR1Hot100(b *testing.B) {
+	gen := &workload.Incr1{Keys: incrKeys, HotFrac: 1.0}
+	eachEngine(b, []string{"doppel", "occ", "2pl", "atomic"}, func(b *testing.B, name string) {
+		loadPoint(b, name, pointWorkers, counters, gen, nil, nil)
+	})
 }
 
-// --- Figure 9: scaling (the 40-core point). ---
+// --- Figure 9: per-worker throughput at GOMAXPROCS workers. ---
 
-func BenchmarkFig9Scaling40CoresDoppel(b *testing.B) {
-	cfg := sim.Config{Engine: sim.Doppel, Cores: 40, Records: 100_000,
-		Warmup: 20_000_000, Duration: 50_000_000, Seed: 42}
-	var tput float64
-	for i := 0; i < b.N; i++ {
-		tput = sim.Run(cfg, sim.IncrGen(100_000, 1.0, 0)).Throughput
-	}
-	b.ReportMetric(tput/40, "sim-txn/s/core")
+func BenchmarkFig9ScalingDoppel(b *testing.B) {
+	n := runtime.GOMAXPROCS(0)
+	gen := &workload.Incr1{Keys: incrKeys, HotFrac: 1.0}
+	loadPoint(b, "doppel", n, counters, gen, nil, func(_ engine.Engine, res bench.Result) {
+		b.ReportMetric(res.Throughput/float64(n), "txn/s/worker")
+	})
 }
 
-// --- Figure 10: changing hot key (adaptation run). ---
+// --- Figure 10: changing hot key. Five 10 ms runs on one engine, the
+// hot key moving between runs. ---
 
 func BenchmarkFig10ChangingHotKey(b *testing.B) {
-	cfg := sim.Config{Engine: sim.Doppel, Cores: 20, Records: 10_000,
-		Warmup: 0, Duration: 300_000_000, Seed: 42}
-	var tput float64
 	for i := 0; i < b.N; i++ {
-		tput = sim.Run(cfg, sim.IncrGen(10_000, 0.10, 100_000_000)).Throughput
+		e, _ := bench.Open("doppel", pointWorkers, counters, nil)
+		var res bench.Result
+		for k := 0; k < 5; k++ {
+			gen := &workload.Incr1{Keys: incrKeys, HotKey: k, HotFrac: 0.10}
+			res = bench.RunLoad(e, gen, bench.Options{Duration: pointLength / 5, Seed: uint64(k + 1)})
+		}
+		e.Stop()
+		b.ReportMetric(float64(res.Stats.Committed)/pointLength.Seconds(), "txn/s")
 	}
-	b.ReportMetric(tput, "sim-txn/s")
 }
 
 // --- Figure 11 / Table 2: INCRZ at alpha=1.4. ---
 
-func BenchmarkFig11INCRZAlpha14Doppel(b *testing.B) {
-	z := workload.NewZipf(100_000, 1.4)
-	simPoint(b, sim.Doppel, sim.IncrZGen(z), 100_000)
+func BenchmarkFig11INCRZAlpha14(b *testing.B) {
+	gen := &workload.IncrZ{Keys: incrKeys, Zipf: workload.NewZipf(pointRecords, 1.4)}
+	eachEngine(b, []string{"doppel", "occ"}, func(b *testing.B, name string) {
+		loadPoint(b, name, pointWorkers, counters, gen, nil, nil)
+	})
 }
-func BenchmarkFig11INCRZAlpha14OCC(b *testing.B) {
-	z := workload.NewZipf(100_000, 1.4)
-	simPoint(b, sim.OCC, sim.IncrZGen(z), 100_000)
-}
+
 func BenchmarkTable2SplitKeyCount(b *testing.B) {
-	z := workload.NewZipf(100_000, 1.4)
-	cfg := sim.Config{Engine: sim.Doppel, Cores: 20, Records: 100_000,
-		Warmup: 20_000_000, Duration: 50_000_000, Seed: 42}
-	var moved float64
-	for i := 0; i < b.N; i++ {
-		moved = float64(len(sim.Run(cfg, sim.IncrZGen(z)).SplitKeys))
-	}
-	b.ReportMetric(moved, "keys-moved")
+	gen := &workload.IncrZ{Keys: incrKeys, Zipf: workload.NewZipf(pointRecords, 1.4)}
+	loadPoint(b, "doppel", pointWorkers, counters, gen, nil, func(e engine.Engine, _ bench.Result) {
+		b.ReportMetric(float64(len(e.(*core.DB).SplitKeys())), "keys-moved")
+	})
 }
 
 // --- Table 1 is analytic; benchmark the Zipf sampler itself. ---
@@ -123,93 +150,61 @@ func BenchmarkTable1ZipfSampler(b *testing.B) {
 
 // --- Figure 12 / Table 3: LIKE 50/50 at alpha=1.4. ---
 
-func BenchmarkFig12LIKE50Doppel(b *testing.B) {
-	z := workload.NewZipf(100_000, 1.4)
-	simPoint(b, sim.Doppel, sim.LikeGen(100_000, 100_000, z, 0.5), 200_000)
+func BenchmarkFig12LIKE50(b *testing.B) {
+	preload, gen := likeLoad(0.5)
+	eachEngine(b, []string{"doppel", "occ"}, func(b *testing.B, name string) {
+		loadPoint(b, name, pointWorkers, preload, gen, nil, nil)
+	})
 }
-func BenchmarkFig12LIKE50OCC(b *testing.B) {
-	z := workload.NewZipf(100_000, 1.4)
-	simPoint(b, sim.OCC, sim.LikeGen(100_000, 100_000, z, 0.5), 200_000)
-}
+
 func BenchmarkTable3LIKEReadLatency(b *testing.B) {
-	z := workload.NewZipf(100_000, 1.4)
-	cfg := sim.Config{Engine: sim.Doppel, Cores: 20, Records: 200_000,
-		Warmup: 20_000_000, Duration: 60_000_000, Seed: 42}
-	var p99 float64
-	for i := 0; i < b.N; i++ {
-		res := sim.Run(cfg, sim.LikeGen(100_000, 100_000, z, 0.5))
-		p99 = float64(res.ReadLat.Quantile(0.99))
-	}
-	b.ReportMetric(p99/1000, "sim-p99-read-us")
+	preload, gen := likeLoad(0.5)
+	loadPoint(b, "doppel", pointWorkers, preload, gen, nil, func(_ engine.Engine, res bench.Result) {
+		b.ReportMetric(float64(res.Stats.ReadLatency.Quantile(0.99))/1000, "p99-read-us")
+	})
 }
 
 // --- Figures 13/14: phase length sensitivity (the 5 ms point). ---
 
+func phase5ms(c *core.Config) { c.PhaseLength = 5 * time.Millisecond }
+
 func BenchmarkFig13PhaseLength5ms(b *testing.B) {
-	z := workload.NewZipf(100_000, 1.4)
-	cfg := sim.Config{Engine: sim.Doppel, Cores: 20, Records: 200_000,
-		Warmup: 20_000_000, Duration: 60_000_000, Seed: 42}
-	cfg.Doppel = sim.DefaultParams()
-	cfg.Doppel.PhaseLen = 5_000_000
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		mean = sim.Run(cfg, sim.LikeGen(100_000, 100_000, z, 0.5)).ReadLat.Mean()
-	}
-	b.ReportMetric(mean/1000, "sim-mean-read-us")
+	preload, gen := likeLoad(0.5)
+	loadPoint(b, "doppel", pointWorkers, preload, gen, phase5ms, func(_ engine.Engine, res bench.Result) {
+		b.ReportMetric(res.Stats.ReadLatency.Mean()/1000, "mean-read-us")
+	})
 }
+
 func BenchmarkFig14PhaseLength5msThroughput(b *testing.B) {
-	z := workload.NewZipf(100_000, 1.4)
-	cfg := sim.Config{Engine: sim.Doppel, Cores: 20, Records: 200_000,
-		Warmup: 20_000_000, Duration: 60_000_000, Seed: 42}
-	cfg.Doppel = sim.DefaultParams()
-	cfg.Doppel.PhaseLen = 5_000_000
-	var tput float64
-	for i := 0; i < b.N; i++ {
-		tput = sim.Run(cfg, sim.LikeGen(100_000, 100_000, z, 0.5)).Throughput
-	}
-	b.ReportMetric(tput, "sim-txn/s")
+	preload, gen := likeLoad(0.5)
+	loadPoint(b, "doppel", pointWorkers, preload, gen, phase5ms, nil)
 }
 
-// --- Table 4 / Figure 15: RUBiS-C at alpha=1.8. ---
+// --- Table 4 / Figure 15: RUBiS-C. ---
 
-func benchRUBiS(b *testing.B, kind sim.Kind) {
-	users, items := 100_000, 33_000
-	z := workload.NewZipf(items, 1.8)
-	cfg := sim.Config{Engine: kind, Cores: 20,
-		Records: sim.RUBiSRecords(users, items),
-		Warmup:  20_000_000, Duration: 50_000_000, Seed: 42}
-	var tput float64
-	for i := 0; i < b.N; i++ {
-		tput = sim.Run(cfg, sim.RUBiSGen(users, items, z, 0.5)).Throughput
-	}
-	b.ReportMetric(tput, "sim-txn/s")
+func BenchmarkTable4RUBiSC(b *testing.B) {
+	preload, gen := rubisC(1.8)
+	eachEngine(b, []string{"doppel", "occ"}, func(b *testing.B, name string) {
+		loadPoint(b, name, pointWorkers, preload, gen, nil, nil)
+	})
 }
 
-func BenchmarkTable4RUBiSCDoppel(b *testing.B) { benchRUBiS(b, sim.Doppel) }
-func BenchmarkTable4RUBiSCOCC(b *testing.B)    { benchRUBiS(b, sim.OCC) }
-func BenchmarkFig15RUBiSCTwoPL(b *testing.B)   { benchRUBiS(b, sim.TwoPL) }
+func BenchmarkFig15RUBiSCAlpha14(b *testing.B) {
+	preload, gen := rubisC(1.4)
+	eachEngine(b, []string{"doppel", "occ", "2pl"}, func(b *testing.B, name string) {
+		loadPoint(b, name, pointWorkers, preload, gen, nil, nil)
+	})
+}
 
 // --- Real-engine benchmarks: per-transaction cost on this machine. ---
 
-func realEngine(name string, workers int) (engine.Engine, *store.Store) {
-	st := store.New()
-	st.Preload("hot", store.IntValue(0))
-	switch name {
-	case "doppel":
-		cfg := core.DefaultConfig(workers)
-		cfg.PhaseLength = 0 // joined-phase cost without a coordinator
-		return core.Open(st, cfg), st
-	case "occ":
-		return occ.New(st, workers), st
-	case "2pl":
-		return twopl.New(st, workers), st
-	default:
-		return atomiceng.New(st, workers), st
-	}
-}
+func preloadHot(st *store.Store) { st.Preload("hot", store.IntValue(0)) }
+
+// joinedOnly turns Doppel's coordinator off: joined-phase cost only.
+func joinedOnly(c *core.Config) { c.PhaseLength = 0 }
 
 func benchRealAdd(b *testing.B, name string) {
-	e, _ := realEngine(name, 1)
+	e, _ := bench.Open(name, 1, preloadHot, joinedOnly)
 	defer e.Stop()
 	fn := func(tx engine.Tx) error { return tx.Add("hot", 1) }
 	b.ResetTimer()
@@ -228,11 +223,8 @@ func BenchmarkRealAddAtomic(b *testing.B)       { benchRealAdd(b, "atomic") }
 // BenchmarkRealAddDoppelSplit measures the split-phase fast path: the
 // hot key is hinted split, so every Add goes to a per-core slice.
 func BenchmarkRealAddDoppelSplit(b *testing.B) {
-	st := store.New()
-	st.Preload("hot", store.IntValue(0))
-	cfg := core.DefaultConfig(1)
-	cfg.PhaseLength = 0
-	db := core.Open(st, cfg)
+	e, _ := bench.Open("doppel", 1, preloadHot, joinedOnly)
+	db := e.(*core.DB)
 	defer db.Close()
 	db.SplitHint("hot", store.OpAdd)
 	if !db.RequestSplitPhase() {
@@ -245,22 +237,6 @@ func BenchmarkRealAddDoppelSplit(b *testing.B) {
 		if out, err := db.Attempt(0, fn, 0); err != nil || out != engine.Committed {
 			b.Fatalf("outcome %v err %v", out, err)
 		}
-	}
-}
-
-// BenchmarkRealLoadDoppel runs the full harness loop (generation,
-// retries, phase participation) briefly per iteration.
-func BenchmarkRealLoadDoppel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		st := store.New()
-		cfg := core.DefaultConfig(2)
-		cfg.PhaseLength = 5 * time.Millisecond
-		db := core.Open(st, cfg)
-		ks := workload.NewKeySpace('k', 1000)
-		gen := &workload.Incr1{Keys: ks, HotKey: 0, HotFrac: 0.5}
-		res := bench.RunLoad(db, gen, bench.Options{Duration: 50 * time.Millisecond, Seed: 1})
-		db.Close()
-		b.ReportMetric(res.Throughput, "real-txn/s")
 	}
 }
 

@@ -1,14 +1,14 @@
 // Command doppel-bench regenerates the tables and figures of "Phase
-// Reconciliation for Contended In-Memory Transactions" (OSDI 2014) on the
-// repository's multicore simulator, and can additionally drive the real
-// engines on the local machine.
+// Reconciliation for Contended In-Memory Transactions" (OSDI 2014) from
+// the Doppel engine and its OCC, 2PL and atomic baselines on the local
+// machine, and measures the network, recovery, checkpoint and
+// replication paths.
 //
 // Usage:
 //
-//	doppel-bench -experiment fig8            # one experiment
-//	doppel-bench -experiment all             # the whole evaluation
-//	doppel-bench -experiment fig11 -cores 40 # different core count
-//	doppel-bench -real -duration 2s          # real-engine INCR1 run
+//	doppel-bench -experiment fig8            # one experiment, 1 s per point
+//	doppel-bench -experiment all             # the whole evaluation, then the ablations
+//	doppel-bench -experiment fig11 -workers 2 -records 10000 -duration 20ms
 //	doppel-bench -net -duration 2s           # network protocol: blocking vs pipelined
 //	doppel-bench -recovery -txns 50000       # recovery time: full replay vs after a checkpoint
 //	doppel-bench -checkpoint                 # checkpoint cost vs store size (barrier/walk/alloc)
@@ -29,26 +29,17 @@ import (
 	"time"
 
 	"doppel"
-	"doppel/internal/atomiceng"
 	"doppel/internal/bench"
-	"doppel/internal/core"
-	"doppel/internal/engine"
 	"doppel/internal/metrics"
-	"doppel/internal/occ"
 	"doppel/internal/rng"
 	"doppel/internal/server"
-	"doppel/internal/store"
-	"doppel/internal/twopl"
 	"doppel/internal/workload"
 )
 
 func main() {
 	exp := flag.String("experiment", "", "experiment to run: "+strings.Join(bench.ExperimentNames(), ", ")+", or 'all'")
-	cores := flag.Int("cores", 20, "simulated core count")
-	records := flag.Int("records", 1_000_000, "simulated record count")
-	full := flag.Bool("full", false, "longer simulations for smoother curves")
-	seed := flag.Uint64("seed", 42, "simulation seed")
-	real := flag.Bool("real", false, "run INCR1 on the real engines instead of the simulator")
+	records := flag.Int("records", 1_000_000, "experiment mode: record count")
+	seed := flag.Uint64("seed", 42, "experiment mode: workload seed")
 	netMode := flag.Bool("net", false, "run the networked INCR1 benchmark: blocking vs pipelined on one connection")
 	recovery := flag.Bool("recovery", false, "measure recovery time: full WAL replay vs bounded replay after a checkpoint")
 	ckptMode := flag.Bool("checkpoint", false, "measure checkpoint cost (barrier, walk, allocation) across store sizes")
@@ -59,9 +50,9 @@ func main() {
 	addr := flag.String("addr", "", "net mode: benchmark an already-running server instead of an in-process one")
 	inflight := flag.Int("inflight", 128, "net mode: pipelined requests kept in flight")
 	flush := flag.Duration("flush", 0, "net mode: server/client flush interval (0 flushes when idle)")
-	hot := flag.Float64("hot", 1.0, "real/net mode: fraction of transactions on the hot key")
-	duration := flag.Duration("duration", time.Second, "real/net mode: run duration per engine")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "real/net mode: worker count")
+	hot := flag.Float64("hot", 1.0, "net mode: fraction of transactions on the hot key")
+	duration := flag.Duration("duration", time.Second, "experiment mode: run duration per point; net mode: per mode; replication mode: per row")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "experiment/net/recovery/checkpoint mode: worker count")
 	flag.Parse()
 
 	if *replMode {
@@ -80,29 +71,22 @@ func main() {
 		runNet(*addr, *hot, *duration, *workers, *inflight, *flush)
 		return
 	}
-	if *real {
-		runReal(*hot, *duration, *workers)
-		return
-	}
 	if *exp == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := bench.ExpConfig{Cores: *cores, Records: *records, Seed: *seed, Full: *full}
-	if *exp == "all" {
-		for _, name := range []string{"fig8", "fig9", "fig10", "fig11", "table1",
-			"table2", "fig12", "table3", "fig13", "fig14", "table4", "fig15"} {
-			bench.Experiments[name](os.Stdout, cfg)
-			fmt.Println()
-		}
-		return
-	}
+	cfg := bench.ExpConfig{Workers: *workers, Records: *records, Seed: *seed, Duration: *duration}
 	fn, ok := bench.Experiments[*exp]
+	if *exp == "all" {
+		fn, ok = bench.All, true
+	}
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; have %s\n", *exp, strings.Join(bench.ExperimentNames(), ", "))
 		os.Exit(2)
 	}
-	fn(os.Stdout, cfg)
+	if err := fn(os.Stdout, cfg); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // runNet measures the network path with INCR1-over-RPC on a single
@@ -575,53 +559,5 @@ func runCheckpoint(workers int, jsonOut bool) {
 			Config: map[string]string{"workers": fmt.Sprint(workers)},
 			Rows:   rows,
 		})
-	}
-}
-
-// runReal measures the real engines on this machine with the INCR1
-// microbenchmark. On a single-CPU host this demonstrates functional
-// behaviour (abort/stash accounting, conservation), not parallel
-// speedup; see EXPERIMENTS.md.
-func runReal(hot float64, dur time.Duration, workers int) {
-	const keys = 100_000
-	ks := workload.NewKeySpace('k', keys)
-	gen := &workload.Incr1{Keys: ks, HotKey: 0, HotFrac: hot}
-
-	build := func(name string) (engine.Engine, *store.Store) {
-		st := store.New()
-		for i := 0; i < keys; i++ {
-			st.Preload(ks.Key(i), store.IntValue(0))
-		}
-		switch name {
-		case "doppel":
-			cfg := core.DefaultConfig(workers)
-			return core.Open(st, cfg), st
-		case "occ":
-			return occ.New(st, workers), st
-		case "2pl":
-			return twopl.New(st, workers), st
-		default:
-			return atomiceng.New(st, workers), st
-		}
-	}
-
-	fmt.Printf("# real-engine INCR1: %d workers, hot=%.0f%%, %v per engine\n", workers, hot*100, dur)
-	fmt.Printf("%-8s %12s %12s %12s %12s\n", "engine", "txn/s", "committed", "aborted", "stashed")
-	for _, name := range []string{"doppel", "occ", "2pl", "atomic"} {
-		e, st := build(name)
-		res := bench.RunLoad(e, gen, bench.Options{Duration: dur, Seed: 1})
-		e.Stop()
-		var total int64
-		st.Range(func(k string, rec *store.Record) bool {
-			n, _ := rec.Value().AsInt()
-			total += n
-			return true
-		})
-		ok := "ok"
-		if total != int64(res.Stats.Committed) {
-			ok = fmt.Sprintf("CONSERVATION VIOLATED (%d != %d)", total, res.Stats.Committed)
-		}
-		fmt.Printf("%-8s %12.0f %12d %12d %12d  %s\n", name, res.Throughput,
-			res.Stats.Committed, res.Stats.Aborted, res.Stats.Stashed, ok)
 	}
 }

@@ -3,11 +3,13 @@
 // worker generates transactions as if it were a client; aborted
 // transactions are saved and retried later with exponential backoff),
 // and it hosts the per-table/per-figure experiment drivers that
-// regenerate the paper's evaluation via the multicore simulator.
+// regenerate the paper's evaluation on the Doppel engine and its OCC,
+// 2PL and atomic baselines.
 package bench
 
 import (
 	"container/heap"
+	"runtime"
 	"sync"
 	"time"
 
@@ -102,6 +104,9 @@ func RunLoad(e engine.Engine, gen workload.Generator, opt Options) Result {
 					return
 				default:
 					e.Poll(w)
+					// Yield so that on one CPU the workers still
+					// inside their quota get to run.
+					runtime.Gosched()
 				}
 			}
 		}(w)

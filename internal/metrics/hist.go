@@ -1,9 +1,7 @@
-// Package metrics provides the measurement substrate used by the benchmark
-// harness and the simulator: log-bucketed latency histograms and simple
-// throughput accumulators. Histograms record values in abstract time units
-// (nanoseconds for the real engine, simulated nanoseconds for the
-// simulator) and report mean and quantiles, which is what the paper's
-// Table 3 and Figure 13 present.
+// Package metrics provides the measurement substrate used by the engines
+// and the benchmark harness: log-bucketed latency histograms and simple
+// throughput accumulators. Histograms record nanoseconds and report mean
+// and quantiles, which is what the paper's Table 3 and Figure 13 present.
 package metrics
 
 import (

@@ -105,9 +105,7 @@ func checkPrefixThenResync(t *testing.T, dir string, nPrefix int) {
 				Value: store.EncodeValue(store.IntValue(int64(100 + i))),
 			}},
 		}
-		if err := l.AppendSync(rec); err != nil {
-			t.Fatal(err)
-		}
+		appendDurable(t, l, rec)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -237,12 +235,10 @@ func TestViewIsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(wal.Record{
+	appendDurable(t, l, wal.Record{
 		TID: 1,
 		Ops: []wal.Op{{Key: "n", Value: store.EncodeValue(store.IntValue(7))}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +302,7 @@ func TestFollowerSurvivesCheckpointGC(t *testing.T) {
 	}
 	defer l.Close()
 	for _, rec := range replWorkload(6) {
-		if err := l.AppendSync(rec); err != nil {
-			t.Fatal(err)
-		}
+		appendDurable(t, l, rec)
 	}
 	f, err := Open(dir, Options{Poll: testPoll})
 	if err != nil {
@@ -335,14 +329,24 @@ func TestFollowerSurvivesCheckpointGC(t *testing.T) {
 	if err := l.Install(snap, seq); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(wal.Record{
+	appendDurable(t, l, wal.Record{
 		TID: 100,
 		Ops: []wal.Op{{Key: "after", Value: store.EncodeValue(store.IntValue(1))}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	waitApplied(t, f, 7)
 	if err := f.Err(); err != nil {
 		t.Fatalf("follower failed across checkpoint GC: %v", err)
+	}
+}
+
+// appendDurable appends rec to l and waits until it is durable.
+func appendDurable(t *testing.T, l *wal.Logger, rec wal.Record) {
+	t.Helper()
+	lsn, err := l.Append(wal.AppendRecord(nil, rec), rec.TID)
+	if err == nil {
+		err = l.WaitDurable(lsn)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

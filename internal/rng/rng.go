@@ -1,8 +1,8 @@
 // Package rng provides small, fast, allocation-free pseudo-random number
-// generators for per-worker use. Workers in the benchmark harness and the
-// simulator each own an independent generator so no locks are taken on the
-// random-number path (a lock there would itself become the contended record
-// the system is trying to measure).
+// generators for per-worker use. Workers in the benchmark harness each own
+// an independent generator so no locks are taken on the random-number
+// path (a lock there would itself become the contended record the system
+// is trying to measure).
 package rng
 
 import "math/bits"

@@ -5,7 +5,7 @@ package wal
 // the machine died mid-write. The table test drives a known workload
 // through the logger at every possible cut point and checks the
 // group-commit contract at each: what replay recovers is exactly a
-// prefix of the submitted records, and every record whose AppendSync was
+// prefix of the submitted records, and every record whose appendSync was
 // acknowledged survives.
 
 import (
@@ -94,7 +94,7 @@ func TestCrashInjectionEveryTruncationPoint(t *testing.T) {
 			}
 			acked := 0
 			for _, r := range recs {
-				if err := l.AppendSync(r); err != nil {
+				if err := appendSync(l, r); err != nil {
 					break // crashed: no later record can be acknowledged
 				}
 				acked++
@@ -168,7 +168,7 @@ func TestCrashThenReopenAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			break
 		}
 	}
@@ -180,7 +180,7 @@ func TestCrashThenReopenAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(Record{TID: 100, Ops: []Op{{Key: "post", Value: []byte("crash")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 100, Ops: []Op{{Key: "post", Value: []byte("crash")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -220,14 +220,14 @@ func TestWriteFailureIsTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(Record{TID: 1, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err == nil {
+	if err := appendSync(l, Record{TID: 1, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err == nil {
 		t.Fatal("expected write failure")
 	}
 	if l.Err() == nil {
 		t.Fatal("Err() must report the terminal failure")
 	}
 	remaining = 1 << 20 // even with a healthy disk again, the logger stays down
-	if err := l.AppendSync(Record{TID: 2, Ops: []Op{{Key: "k", Value: []byte("w")}}}); err == nil {
+	if err := appendSync(l, Record{TID: 2, Ops: []Op{{Key: "k", Value: []byte("w")}}}); err == nil {
 		t.Fatal("append accepted after terminal failure")
 	}
 	if err := l.Close(); err != nil {

@@ -17,16 +17,15 @@
 // condition broadcast per fsync, however many records the batch held.
 // Durability is observed against the watermark: a record is durable
 // once Durable() reaches its LSN, and WaitDurable(lsn) blocks until it
-// does (AppendSync bundles encode + append + wait for callers off the
-// hot path). Records carry a CRC so torn tails are detected and ignored
-// at replay.
+// does. Records carry a CRC so torn tails are detected and ignored at
+// replay.
 //
 // # Group-commit pacing
 //
 // The committer writes and syncs a pending batch at once when something
 // needs it on disk: a WaitDurable caller beyond the watermark (which is
-// how synchronous commits and AppendSync wait), a queued Rotate, Close,
-// or 1 MiB of pending bytes. Otherwise it lets the batch gather records
+// how synchronous commits wait), a queued Rotate, Close, or 1 MiB
+// of pending bytes. Otherwise it lets the batch gather records
 // until 2 ms (the cadence) after the previous sync, so asynchronous
 // commits share one write and one fsync per cadence rather than paying
 // one per committer round trip. An idle logger stays idle: the committer

@@ -10,7 +10,7 @@ package wal
 // pending sectors lands at its true offset (holes read back as zeros).
 //
 // The properties under test: group commit never lies (every record
-// whose AppendSync was acknowledged survives any subset persistence of
+// whose appendSync was acknowledged survives any subset persistence of
 // later writes), replay never invents or reorders records (the result
 // is always a prefix of what was submitted), and damage to a sealed
 // segment — even damage that still decodes cleanly, like a dropped
@@ -128,7 +128,7 @@ func TestCrashReorderedSectorWrites(t *testing.T) {
 			l := openReorder(t, dir, crashAt, sc.keep)
 			acked := 0
 			for _, r := range recs {
-				if err := l.AppendSync(r); err != nil {
+				if err := appendSync(l, r); err != nil {
 					break // crashed: no later record can be acknowledged
 				}
 				acked++
@@ -174,14 +174,14 @@ func TestReorderedSealedSegmentFailsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range crashWorkload(5) {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := l.Rotate(); err != nil { // seals segment 1, records its metadata
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(Record{TID: 100, Ops: []Op{{Key: "post", Value: []byte("rotate")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 100, Ops: []Op{{Key: "post", Value: []byte("rotate")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -218,14 +218,14 @@ func TestSealedSegmentRecordBoundaryDropCaughtByManifest(t *testing.T) {
 	}
 	recs := crashWorkload(5)
 	for _, r := range recs {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(Record{TID: 100, Ops: []Op{{Key: "post", Value: []byte("rotate")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 100, Ops: []Op{{Key: "post", Value: []byte("rotate")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

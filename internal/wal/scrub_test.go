@@ -24,7 +24,7 @@ func scrubLog(t *testing.T, n int) (string, *Logger) {
 	}
 	t.Cleanup(func() { l.Close() })
 	for i, r := range crashWorkload(n) {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%(n/4) == 0 {

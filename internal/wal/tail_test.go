@@ -42,7 +42,7 @@ func TestCursorTailsLiveLog(t *testing.T) {
 	var got []Record
 	recs := crashWorkload(8)
 	for i, r := range recs {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 		n, err := cur.Next(collect(&got))
@@ -72,7 +72,7 @@ func TestCursorCrossesRotation(t *testing.T) {
 	defer l.Close()
 	recs := crashWorkload(5)
 	for _, r := range recs[:3] {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestCursorCrossesRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs[3:] {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestCursorSealedSegmentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range crashWorkload(3) {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func TestCursorSealedMetadataMismatch(t *testing.T) {
 	}
 	recs := crashWorkload(3)
 	for _, r := range recs {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestCursorO1IdlePolls(t *testing.T) {
 	defer l.Close()
 	recs := crashWorkload(9)
 	for i, r := range recs {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 2 && i < 8 {
@@ -253,7 +253,7 @@ func TestCursorO1IdlePolls(t *testing.T) {
 		t.Fatal(err)
 	}
 	extra := Record{TID: 100, Ops: []Op{{Key: "late", Value: []byte("x")}}}
-	if err := l.AppendSync(extra); err != nil {
+	if err := appendSync(l, extra); err != nil {
 		t.Fatal(err)
 	}
 	n, err := cur.Next(collect(&got))
@@ -286,7 +286,7 @@ func TestCursorWaitsForFirstSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.AppendSync(Record{TID: 1, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 1, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := cur.Next(collect(&got)); err != nil || n != 1 {
@@ -304,7 +304,7 @@ func TestCursorGCOverrun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.AppendSync(Record{TID: 1, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 1, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
 		t.Fatal(err)
 	}
 	cur, _, err := OpenCursor(dir)
@@ -340,7 +340,7 @@ func TestDurablePosition(t *testing.T) {
 		t.Fatalf("fresh logger at %s", p)
 	}
 	rec := Record{TID: 1, Ops: []Op{{Key: "k", Value: []byte("v")}}}
-	if err := l.AppendSync(rec); err != nil {
+	if err := appendSync(l, rec); err != nil {
 		t.Fatal(err)
 	}
 	want := Position{Seq: 1, Offset: int64(len(EncodeRecord(rec)))}

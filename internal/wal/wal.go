@@ -368,19 +368,6 @@ func (l *Logger) WaitDurable(lsn uint64) error {
 	return err
 }
 
-// AppendSync encodes rec, appends it and waits for durability — the
-// convenience path for callers outside the commit hot loop (tests,
-// tools, compatibility). The hot path uses AppendRecord + Append with
-// caller-owned buffers instead and observes durability through the
-// watermark.
-func (l *Logger) AppendSync(rec Record) error {
-	lsn, err := l.Append(AppendRecord(nil, rec), rec.TID)
-	if err != nil {
-		return err
-	}
-	return l.WaitDurable(lsn)
-}
-
 // Rotate flushes everything appended so far to the current segment,
 // seals it, and opens the next segment; it returns the new segment's
 // sequence number. The caller must guarantee no Appends are in flight

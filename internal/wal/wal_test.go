@@ -38,7 +38,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		{TID: 3, Ops: nil},
 	}
 	for _, r := range recs {
-		if err := l.AppendSync(r); err != nil {
+		if err := appendSync(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				rec := Record{TID: uint64(w*perWriter + i + 1),
 					Ops: []Op{{Key: "k", Value: []byte{byte(w)}}}}
-				if err := l.AppendSync(rec); err != nil {
+				if err := appendSync(l, rec); err != nil {
 					t.Error(err)
 					return
 				}
@@ -100,7 +100,7 @@ func TestAppendAfterClose(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(Record{TID: 1}); err == nil {
+	if err := appendSync(l, Record{TID: 1}); err == nil {
 		t.Fatal("expected error after close")
 	}
 	if err := l.Close(); err != nil { // idempotent
@@ -113,7 +113,7 @@ func TestAppendAfterClose(t *testing.T) {
 func TestReopenAppends(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
-	if err := l.AppendSync(Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("1")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("1")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -123,7 +123,7 @@ func TestReopenAppends(t *testing.T) {
 	if got := l.SegmentSeq(); got != 1 {
 		t.Fatalf("reopen segment seq %d, want 1", got)
 	}
-	if err := l.AppendSync(Record{TID: 2, Ops: []Op{{Key: "b", Value: []byte("2")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 2, Ops: []Op{{Key: "b", Value: []byte("2")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -152,7 +152,7 @@ func TestReplayTornTail(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
 	for tid := uint64(1); tid <= 5; tid++ {
-		if err := l.AppendSync(Record{TID: tid, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
+		if err := appendSync(l, Record{TID: tid, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestReopenAfterTornTail(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
 	for tid := uint64(1); tid <= 5; tid++ {
-		if err := l.AppendSync(Record{TID: tid, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
+		if err := appendSync(l, Record{TID: tid, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestReopenAfterTornTail(t *testing.T) {
 	}
 	tornTail(t, dir, 3)
 	l = openT(t, dir)
-	if err := l.AppendSync(Record{TID: 6, Ops: []Op{{Key: "k", Value: []byte("w")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 6, Ops: []Op{{Key: "k", Value: []byte("w")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -201,7 +201,7 @@ func TestReplayCorruptBody(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
 	for tid := uint64(1); tid <= 3; tid++ {
-		if err := l.AppendSync(Record{TID: tid, Ops: []Op{{Key: "key", Value: []byte("value")}}}); err != nil {
+		if err := appendSync(l, Record{TID: tid, Ops: []Op{{Key: "key", Value: []byte("value")}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestReplayMissingDir(t *testing.T) {
 func TestRotateSplitsSegments(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
-	if err := l.AppendSync(Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("1")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("1")}}}); err != nil {
 		t.Fatal(err)
 	}
 	seq, err := l.Rotate()
@@ -246,7 +246,7 @@ func TestRotateSplitsSegments(t *testing.T) {
 	if seq != 2 || l.SegmentSeq() != 2 {
 		t.Fatalf("rotate seq %d (logger %d), want 2", seq, l.SegmentSeq())
 	}
-	if err := l.AppendSync(Record{TID: 2, Ops: []Op{{Key: "b", Value: []byte("2")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 2, Ops: []Op{{Key: "b", Value: []byte("2")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -270,7 +270,7 @@ func TestRotateSplitsSegments(t *testing.T) {
 func TestInstallGarbageCollects(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
-	if err := l.AppendSync(Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("old")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("old")}}}); err != nil {
 		t.Fatal(err)
 	}
 	seq, err := l.Rotate()
@@ -289,7 +289,7 @@ func TestInstallGarbageCollects(t *testing.T) {
 	if err := l.Install(snap, seq); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(Record{TID: 2, Ops: []Op{{Key: "b", Value: []byte("new")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 2, Ops: []Op{{Key: "b", Value: []byte("new")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -378,19 +378,19 @@ func TestManifestCorruptionDetected(t *testing.T) {
 func TestSegmentGapDetected(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
-	if err := l.AppendSync(Record{TID: 1}); err != nil {
+	if err := appendSync(l, Record{TID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(Record{TID: 2}); err != nil {
+	if err := appendSync(l, Record{TID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(Record{TID: 3}); err != nil {
+	if err := appendSync(l, Record{TID: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -409,13 +409,13 @@ func TestSegmentGapDetected(t *testing.T) {
 func TestCorruptSealedSegmentDetected(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
-	if err := l.AppendSync(Record{TID: 1, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 1, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSync(Record{TID: 2, Ops: []Op{{Key: "k", Value: []byte("w")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 2, Ops: []Op{{Key: "k", Value: []byte("w")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -485,7 +485,7 @@ func TestSizeBasedRotation(t *testing.T) {
 	}
 	const n = 5
 	for tid := uint64(1); tid <= n; tid++ {
-		if err := l.AppendSync(Record{TID: tid, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
+		if err := appendSync(l, Record{TID: tid, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -506,7 +506,7 @@ func TestSizeBasedRotation(t *testing.T) {
 			t.Fatalf("record %d has TID %d: order lost across size rotations", i, r.TID)
 		}
 	}
-	// Every AppendSync is its own batch, and a 1-byte budget seals the
+	// Every appendSync is its own batch, and a 1-byte budget seals the
 	// segment after each batch, so there must be n sealed segments plus
 	// the open one.
 	if len(segs) != n+1 {
@@ -529,14 +529,14 @@ func TestSizeBasedRotation(t *testing.T) {
 func TestSizeRotationMetaSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
-	if err := l.AppendSync(Record{TID: 7, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 7, Ops: []Op{{Key: "k", Value: []byte("v")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	l = openT(t, dir)
-	if err := l.AppendSync(Record{TID: 9, Ops: []Op{{Key: "k", Value: []byte("w")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 9, Ops: []Op{{Key: "k", Value: []byte("w")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Rotate(); err != nil {
@@ -564,7 +564,7 @@ func TestSizeRotationMetaSurvivesReopen(t *testing.T) {
 func TestReopenRetractsSealedMetaOfAppendTarget(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
-	if err := l.AppendSync(Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("1")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("1")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Rotate(); err != nil {
@@ -583,7 +583,7 @@ func TestReopenRetractsSealedMetaOfAppendTarget(t *testing.T) {
 	if man, _, err := ReadManifest(dir); err != nil || man.SealedFor(1) != nil {
 		t.Fatalf("reopen left sealed metadata for the append target: %+v (err %v)", man.Sealed, err)
 	}
-	if err := l.AppendSync(Record{TID: 2, Ops: []Op{{Key: "b", Value: []byte("2")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 2, Ops: []Op{{Key: "b", Value: []byte("2")}}}); err != nil {
 		t.Fatal(err)
 	}
 	// Crash again without any further manifest write: recovery must not
@@ -639,7 +639,7 @@ func TestSealedMetaBounded(t *testing.T) {
 func TestInstallPrunesSealedMeta(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
-	if err := l.AppendSync(Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("1")}}}); err != nil {
+	if err := appendSync(l, Record{TID: 1, Ops: []Op{{Key: "a", Value: []byte("1")}}}); err != nil {
 		t.Fatal(err)
 	}
 	seq, err := l.Rotate()
@@ -691,7 +691,7 @@ func TestDoubleOpenRefused(t *testing.T) {
 func TestMissingFirstLiveSegmentDetected(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
-	if err := l.AppendSync(Record{TID: 1}); err != nil {
+	if err := appendSync(l, Record{TID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	seq, err := l.Rotate()
@@ -780,4 +780,13 @@ func TestSizeRotationCutsBatches(t *testing.T) {
 			t.Fatalf("segment %d sealed as %+v, holds %+v", sg.Seq, *sm, MetaFor(sg.Seq, segRecs))
 		}
 	}
+}
+
+// appendSync encodes rec, appends it and waits until it is durable.
+func appendSync(l *Logger, rec Record) error {
+	lsn, err := l.Append(AppendRecord(nil, rec), rec.TID)
+	if err != nil {
+		return err
+	}
+	return l.WaitDurable(lsn)
 }
