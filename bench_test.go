@@ -117,7 +117,7 @@ func BenchmarkFig10ChangingHotKey(b *testing.B) {
 			res = bench.RunLoad(e, gen, bench.Options{Duration: pointLength / 5, Seed: uint64(k + 1)})
 		}
 		e.Stop()
-		b.ReportMetric(float64(res.Stats.Committed)/pointLength.Seconds(), "txn/s")
+		b.ReportMetric(float64(res.Stats.Committed.Load())/pointLength.Seconds(), "txn/s")
 	}
 }
 

@@ -492,9 +492,10 @@ func (l *workerLoop) run(req *request) runResult {
 			// The transaction accessed split data incompatibly and was
 			// stashed; it will re-execute during the next joined phase.
 			// The caller's acknowledgement waits until this worker's
-			// stash drains — that wait, up to a phase length, is the
-			// read-latency cost the paper's Table 3 and Figure 13
-			// measure — but the worker itself must not: it keeps
+			// stash drains — that wait, about one stash budget
+			// (core.Config.StashBudget), is the read-latency cost the
+			// paper's Table 3 and Figure 13 measure — but the worker
+			// itself must not: it keeps
 			// executing its queue (the paper's point of the split phase)
 			// and finishes this request from the loop once the stash is
 			// empty.
@@ -755,13 +756,13 @@ func (db *DB) Stats() Stats {
 		agg.Merge(db.eng.WorkerStats(w))
 	}
 	s := Stats{
-		Committed:     agg.Committed,
-		Aborted:       agg.Aborted,
-		Stashed:       agg.Stashed,
-		Retries:       agg.Retries,
-		MergeFailures: agg.MergeFailures,
-		StashDropped:  agg.StashDropped,
-		FenceAborts:   agg.FenceAborts,
+		Committed:     agg.Committed.Load(),
+		Aborted:       agg.Aborted.Load(),
+		Stashed:       agg.Stashed.Load(),
+		Retries:       agg.Retries.Load(),
+		MergeFailures: agg.MergeFailures.Load(),
+		StashDropped:  agg.StashDropped.Load(),
+		FenceAborts:   agg.FenceAborts.Load(),
 		Phase:         db.eng.Phase().String(),
 		PhaseChanges:  db.eng.PhaseChanges(),
 		SplitKeys:     db.eng.SplitKeys(),

@@ -217,6 +217,64 @@ func TestStatsAndHints(t *testing.T) {
 	}
 }
 
+// TestStatsDuringSplitLoad reads Stats in a loop while the workers
+// commit slice writes and stash reads of a hinted key, so every phase
+// change, stash and drain races the reader. Under -race it checks that
+// the workers publish their counters and latency histograms race-free;
+// without it, that the totals add up.
+func TestStatsDuringSplitLoad(t *testing.T) {
+	db := Open(Options{Workers: 2, PhaseLength: 2 * time.Millisecond})
+	defer db.Close()
+	db.SplitHint("hot", OpAdd)
+	stop := make(chan struct{})
+	var adds, reads atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if i%8 == 7 {
+					if err := db.Exec(func(tx Tx) error { _, err := tx.GetInt("hot"); return err }); err != nil {
+						t.Error(err)
+						return
+					}
+					reads.Add(1)
+					continue
+				}
+				if err := db.Exec(func(tx Tx) error { return tx.Add("hot", 1) }); err != nil {
+					t.Error(err)
+					return
+				}
+				adds.Add(1)
+			}
+		}()
+	}
+	var last Stats
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); {
+		st := db.Stats()
+		if st.Committed < last.Committed || st.Stashed < last.Stashed || st.PhaseChanges < last.PhaseChanges {
+			t.Fatalf("stats went backwards: %+v after %+v", st, last)
+		}
+		last = st
+		_ = db.Internal().WorkerStats(0).ReadLatency.Quantile(0.9)
+	}
+	close(stop)
+	wg.Wait()
+	st := db.Stats()
+	if want := adds.Load() + reads.Load(); st.Committed != want {
+		t.Fatalf("Committed = %d, want %d acknowledged transactions", st.Committed, want)
+	}
+	if st.Stashed == 0 || st.PhaseChanges == 0 {
+		t.Fatalf("the hinted key never split under load: %+v", st)
+	}
+}
+
 // TestCloseWithStashedRead: Close must not hang while a stashed
 // transaction is pending. The stash replays only in a joined phase, and
 // the transition to it needs every worker's acknowledgement, so workers

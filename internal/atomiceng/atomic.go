@@ -66,10 +66,10 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 	tx := &ws.tx
 	tx.eng, tx.w, tx.wrote = e, w, false
 	if err := fn(tx); err != nil {
-		ws.stats.Aborted++
+		ws.stats.Aborted.Add(1)
 		return engine.UserAbort, err
 	}
-	ws.stats.Committed++
+	ws.stats.Committed.Add(1)
 	lat := engine.Now() - submitNanos
 	if tx.wrote {
 		ws.stats.WriteLatency.Record(lat)

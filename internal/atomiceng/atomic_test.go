@@ -89,7 +89,7 @@ func TestUserErrorSurfaced(t *testing.T) {
 	if out != engine.UserAbort || !errors.Is(err, boom) {
 		t.Fatalf("%v %v", out, err)
 	}
-	if e.WorkerStats(0).Aborted != 1 {
+	if e.WorkerStats(0).Aborted.Load() != 1 {
 		t.Fatal("abort not counted")
 	}
 }

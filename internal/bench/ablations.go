@@ -3,8 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"doppel/internal/core"
+	"doppel/internal/engine"
+	"doppel/internal/rng"
 	"doppel/internal/workload"
 )
 
@@ -14,7 +17,7 @@ import (
 
 var (
 	extendPoints    = []int{0, 1, 2, 4, 8, 16}
-	hurryPoints     = []float64{0.25, 0.5, 0.75, 1.0}
+	budgetPoints    = []time.Duration{500 * time.Microsecond, time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
 	dominancePoints = []float64{1, 3, 10, 1e9}
 	maxKeysPoints   = []int{1, 2, 4, 8, 64}
 )
@@ -40,17 +43,55 @@ func AblationExtend(w io.Writer, cfg ExpConfig) error {
 	return x.err
 }
 
-// AblationHurry measures hurrying the joined phase when stashes pile up:
-// it trades split-phase batching for read latency.
-func AblationHurry(w io.Writer, cfg ExpConfig) error {
+// hotReadEvery is how often each worker of AblationStashBudget reads
+// the hot key: 1000 reads/s per worker, whatever became of the last one.
+const hotReadEvery = int64(time.Millisecond)
+
+// hotReads is INCR1 plus reads of the hot key on an open-loop schedule:
+// a worker issues a read whenever hotReadEvery has passed since its
+// last one, and an increment otherwise. A stashed read does not hold
+// its worker, so the reads arrive at their rate whatever the phase.
+type hotReads struct {
+	incr workload.Incr1
+	read engine.TxFunc
+	next []int64 // per worker: when its next read is due
+}
+
+func newHotReads(ks *workload.KeySpace, workers int) *hotReads {
+	key := ks.Key(0)
+	return &hotReads{
+		incr: workload.Incr1{Keys: ks, HotFrac: 0.5},
+		read: func(tx engine.Tx) error { _, err := tx.GetInt(key); return err },
+		next: make([]int64, workers),
+	}
+}
+
+func (g *hotReads) Next(w int, r *rng.Rand) (engine.TxFunc, bool) {
+	if now := engine.Now(); now >= g.next[w] {
+		g.next[w] = now + hotReadEvery
+		return g.read, false
+	}
+	return g.incr.Next(w, r)
+}
+
+// AblationStashBudget sweeps the stash budget, the longest a stashed
+// read waits for a joined phase before the coordinator ends the split
+// phase. It is the paper's phase-length trade (Figs. 13/14, Table 3) on
+// the hinted hot counter: a short budget means short phases, so more
+// barriers and reconciliations per second and less time for slices to
+// absorb writes, in exchange for reads that wait less.
+func AblationStashBudget(w io.Writer, cfg ExpConfig) error {
 	x := newExp(cfg)
-	ld := x.like(1.4, 0.5)
-	fmt.Fprintf(w, "# Ablation: hurry fraction (LIKE 50/50, alpha=1.4); %s\n", x)
-	fmt.Fprintf(w, "%-16s %12s %16s %14s\n", "hurry-frac", "Mtxn/s", "mean-read(us)", "p99-read(us)")
-	for _, hf := range hurryPoints {
-		p := x.measure("doppel", ld, func(c *core.Config) { c.HurryFraction = hf })
+	ks := workload.NewKeySpace('k', x.Records)
+	fmt.Fprintf(w, "# Ablation: stash budget (INCR1 50%% hot, hot key hinted, %d reads/s of it per worker); %s\n",
+		int64(time.Second)/hotReadEvery, x)
+	fmt.Fprintf(w, "%-12s %12s %14s %14s %14s\n", "budget(ms)", "Mtxn/s", "p50-read(us)", "p90-read(us)", "phase-changes")
+	for _, b := range budgetPoints {
+		ld := load{preload: counters(ks), gen: newHotReads(ks, x.Workers), counted: true, hint: ks.Key(0)}
+		p := x.measure("doppel", ld, func(c *core.Config) { c.StashBudget = b })
 		r := p.Stats.ReadLatency
-		fmt.Fprintf(w, "%-16.2f %12.3f %16.1f %14.1f\n", hf, mtps(p), us(r.Mean()), us(float64(r.Quantile(0.99))))
+		fmt.Fprintf(w, "%-12.1f %12.3f %14.1f %14.1f %14d\n", float64(b)/float64(time.Millisecond), mtps(p),
+			us(float64(r.Quantile(0.5))), us(float64(r.Quantile(0.9))), p.phaseChanges)
 	}
 	return x.err
 }
@@ -65,7 +106,7 @@ func AblationDominance(w io.Writer, cfg ExpConfig) error {
 	fmt.Fprintf(w, "%-16s %12s %12s %12s\n", "dominance", "Mtxn/s", "split-keys", "stashes")
 	for _, dom := range dominancePoints {
 		p := x.measure("doppel", ld, func(c *core.Config) { c.ReadDominance = dom })
-		fmt.Fprintf(w, "%-16.0f %12.3f %12d %12d\n", dom, mtps(p), len(p.split), p.Stats.Stashed)
+		fmt.Fprintf(w, "%-16.0f %12.3f %12d %12d\n", dom, mtps(p), len(p.split), p.Stats.Stashed.Load())
 	}
 	return x.err
 }

@@ -21,7 +21,7 @@ func TestRunLoadOCC(t *testing.T) {
 	}
 	gen := &workload.Incr1{Keys: ks, HotKey: 0, HotFrac: 0.2}
 	res := RunLoad(e, gen, Options{Duration: 100 * time.Millisecond, Seed: 1})
-	if res.Stats.Committed == 0 {
+	if res.Stats.Committed.Load() == 0 {
 		t.Fatal("no commits")
 	}
 	if res.Throughput <= 0 {
@@ -34,8 +34,8 @@ func TestRunLoadOCC(t *testing.T) {
 		total += n
 		return true
 	})
-	if total != int64(res.Stats.Committed) {
-		t.Fatalf("total %d != commits %d", total, res.Stats.Committed)
+	if total != int64(res.Stats.Committed.Load()) {
+		t.Fatalf("total %d != commits %d", total, res.Stats.Committed.Load())
 	}
 }
 
@@ -53,7 +53,7 @@ func TestRunLoadDoppel(t *testing.T) {
 	gen := &workload.Incr1{Keys: ks, HotKey: 0, HotFrac: 0.9}
 	res := RunLoad(db, gen, Options{Duration: 150 * time.Millisecond, Seed: 7})
 	db.Close()
-	if res.Stats.Committed == 0 {
+	if res.Stats.Committed.Load() == 0 {
 		t.Fatal("no commits")
 	}
 	var total int64
@@ -64,15 +64,15 @@ func TestRunLoadDoppel(t *testing.T) {
 	})
 	// Every committed or stashed-then-committed increment must be
 	// reflected exactly once after Close.
-	if total != int64(res.Stats.Committed) {
-		t.Fatalf("total %d != commits %d (stashed %d)", total, res.Stats.Committed, res.Stats.Stashed)
+	if total != int64(res.Stats.Committed.Load()) {
+		t.Fatalf("total %d != commits %d (stashed %d)", total, res.Stats.Committed.Load(), res.Stats.Stashed.Load())
 	}
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{"fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig15", "table1", "table2", "table3", "table4",
-		"ablation-extend", "ablation-hurry", "ablation-dominance",
+		"ablation-extend", "ablation-stash-budget", "ablation-dominance",
 		"ablation-maxkeys"}
 	names := ExperimentNames()
 	if len(names) != len(want) {
@@ -152,22 +152,22 @@ func TestSmallExperimentRuns(t *testing.T) {
 		{"# Figure 14:", len(phasePoints)},
 	}
 	want := map[string][]table{
-		"fig8":               {{"# Figure 8:", len(hotFracs)}},
-		"fig9":               {{"# Figure 9:", len(fig9Workers())}},
-		"fig10":              {{"# Figure 10:", fig10Buckets}},
-		"fig11":              {{"# Figure 11:", len(alphas)}},
-		"table1":             {{"# Table 1:", len(alphas)}},
-		"table2":             {{"# Table 2:", len(table2Alphas)}},
-		"fig12":              {{"# Figure 12:", len(writeFracs)}},
-		"table3":             {{"# Table 3:", 2 * len(threeEngines)}},
-		"fig13":              phases,
-		"fig14":              phases,
-		"table4":             {{"# Table 4:", len(threeEngines)}},
-		"fig15":              {{"# Figure 15:", len(rubisAlphas)}},
-		"ablation-extend":    {{"# Ablation: split-phase extension", len(extendPoints)}},
-		"ablation-hurry":     {{"# Ablation: hurry fraction", len(hurryPoints)}},
-		"ablation-dominance": {{"# Ablation: read-dominance veto", len(dominancePoints)}},
-		"ablation-maxkeys":   {{"# Ablation: MaxSplitKeys", len(maxKeysPoints)}},
+		"fig8":                  {{"# Figure 8:", len(hotFracs)}},
+		"fig9":                  {{"# Figure 9:", len(fig9Workers())}},
+		"fig10":                 {{"# Figure 10:", fig10Buckets}},
+		"fig11":                 {{"# Figure 11:", len(alphas)}},
+		"table1":                {{"# Table 1:", len(alphas)}},
+		"table2":                {{"# Table 2:", len(table2Alphas)}},
+		"fig12":                 {{"# Figure 12:", len(writeFracs)}},
+		"table3":                {{"# Table 3:", 2 * len(threeEngines)}},
+		"fig13":                 phases,
+		"fig14":                 phases,
+		"table4":                {{"# Table 4:", len(threeEngines)}},
+		"fig15":                 {{"# Figure 15:", len(rubisAlphas)}},
+		"ablation-extend":       {{"# Ablation: split-phase extension", len(extendPoints)}},
+		"ablation-stash-budget": {{"# Ablation: stash budget", len(budgetPoints)}},
+		"ablation-dominance":    {{"# Ablation: read-dominance veto", len(dominancePoints)}},
+		"ablation-maxkeys":      {{"# Ablation: MaxSplitKeys", len(maxKeysPoints)}},
 	}
 	if len(want) != len(Experiments) {
 		t.Fatalf("smoke test covers %d experiments, registry has %d", len(want), len(Experiments))

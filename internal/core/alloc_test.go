@@ -9,6 +9,7 @@ package core
 // nothing at all.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -160,5 +161,59 @@ func BenchmarkCommitSingleWriteRedo(b *testing.B) {
 	deadline := time.Now().Add(10 * time.Second)
 	for l.Durable() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPhaseCycleAllocs: a full joined→split→joined cycle over an
+// unchanged set of 32 hinted keys allocates its two transitions, their
+// two release channels and the one value reconciliation publishes for
+// the key that took a slice write, and nothing per split key: the
+// classifier clears and refills its maps and republishes the last split
+// set, and the workers reuse their slice arrays and stash buffers. A
+// stashed read rides along, so the stash and its drain are covered too.
+func TestPhaseCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	st := store.New()
+	cfg := DefaultConfig(2)
+	cfg.PhaseLength = 0
+	db := Open(st, cfg)
+	defer db.Close()
+	for i := 0; i < 32; i++ {
+		k := fmt.Sprintf("h%02d", i)
+		st.Preload(k, store.IntValue(0))
+		db.SplitHint(k, store.OpAdd)
+	}
+	add := func(tx engine.Tx) error { return tx.Add("h00", 1) }
+	read := func(tx engine.Tx) error { _, err := tx.GetInt("h00"); return err }
+	cycle := func() {
+		if !db.RequestSplitPhase() {
+			t.Fatal("split phase refused")
+		}
+		db.Poll(0)
+		db.Poll(1)
+		if out, err := db.Attempt(0, add, 0); err != nil || out != engine.Committed {
+			t.Fatalf("split-phase add: %v %v", out, err)
+		}
+		if out, err := db.Attempt(1, read, 0); err != nil || out != engine.Stashed {
+			t.Fatalf("split-phase read: %v %v", out, err)
+		}
+		if !db.RequestJoinedPhase() {
+			t.Fatal("joined phase refused")
+		}
+		db.Poll(0)
+		db.Poll(1)
+		if db.StashLen(1) != 0 {
+			t.Fatal("stash not drained")
+		}
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	n := testing.AllocsPerRun(100, cycle)
+	t.Logf("%.1f allocs per cycle", n)
+	if n > 5 {
+		t.Errorf("a phase cycle allocates %.1f objects, want <= 5", n)
 	}
 }

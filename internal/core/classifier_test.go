@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"doppel/internal/engine"
 	"doppel/internal/store"
@@ -150,7 +151,7 @@ func TestClassifierDemotesStashDominatedKey(t *testing.T) {
 	w := db.workers[0]
 	w.statsMu.Lock()
 	w.splitWrites["k"] = 100
-	oc := &opCounts{}
+	var oc opCounts
 	oc[store.OpGet] = 500 // reads stashed 5x the writes
 	w.splitStashes["k"] = oc
 	w.statsMu.Unlock()
@@ -173,7 +174,7 @@ func TestClassifierSwitchesSelectedOp(t *testing.T) {
 	w := db.workers[0]
 	w.statsMu.Lock()
 	w.splitWrites["k"] = 50
-	oc := &opCounts{}
+	var oc opCounts
 	oc[store.OpMax] = 120
 	w.splitStashes["k"] = oc
 	w.statsMu.Unlock()
@@ -268,5 +269,58 @@ func TestEndToEndAutoSplitUnderContention(t *testing.T) {
 	keys := db.SplitKeys()
 	if len(keys) != 1 || keys[0] != "hot" {
 		t.Fatalf("split keys %v", keys)
+	}
+}
+
+// TestClassifierKeepsSteadyKeyUnderBudgetCutPhases: a promoted key with
+// steady moderate writes and a read in every split phase stays split
+// when the stash budget cuts split phases to about a millisecond. Two
+// slice writes per phase is below KeepMinWrites (4), so judging each
+// phase on its own would demote it; judged per PhaseLength of split
+// time it writes about two hundred. The cold control, reads and no
+// writes, is demoted in the same time.
+func TestClassifierKeepsSteadyKeyUnderBudgetCutPhases(t *testing.T) {
+	const phaseLength = 100 * time.Millisecond
+	for _, tc := range []struct {
+		name   string
+		writes int
+		split  bool
+	}{{"steady", 2, true}, {"cold", 0, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := manualDB(2)
+			defer db.Close()
+			// No coordinator runs (it starts only when Open sees a
+			// PhaseLength); the classifier reads PhaseLength as the
+			// length of split time its keep/demote rule is judged over.
+			db.cfg.PhaseLength = phaseLength
+			db.Store().Preload("k", store.IntValue(0))
+			feedConflicts(db, 0, "k", store.OpAdd, 100)
+			setAttempts(db, 0, 200)
+			add := func(tx engine.Tx) error { return tx.Add("k", 1) }
+			read := func(tx engine.Tx) error { _, err := tx.GetInt("k"); return err }
+			start := time.Now()
+			for time.Since(start) < 3*phaseLength {
+				if !db.RequestSplitPhase() {
+					break // demoted: nothing left to split
+				}
+				db.Poll(0)
+				db.Poll(1)
+				for i := 0; i < tc.writes; i++ {
+					mustCommit(t, db, 0, add)
+				}
+				if out := run(t, db, 1, read); out != engine.Stashed {
+					t.Fatalf("split-phase read %v, want stashed", out)
+				}
+				time.Sleep(time.Millisecond)
+				if !db.RequestJoinedPhase() {
+					t.Fatal("joined phase refused")
+				}
+				db.Poll(0)
+				db.Poll(1)
+			}
+			if split := len(db.SplitKeys()) == 1; split != tc.split {
+				t.Fatalf("after %v of ~1 ms split phases: split=%v, want %v", time.Since(start), split, tc.split)
+			}
+		})
 	}
 }

@@ -32,16 +32,20 @@ type Config struct {
 	WorkerIDBase int
 
 	// PhaseLength is how often the coordinator changes phase ("usually
-	// starts a phase change every 20 milliseconds", §5.4). Zero disables
-	// the coordinator: phases advance only via test hooks or Close.
+	// starts a phase change every 20 milliseconds", §5.4): the longest a
+	// joined phase lasts, and the length of a split phase in which
+	// nothing is stashed. Zero disables the coordinator: phases advance
+	// only via test hooks or Close.
 	PhaseLength time.Duration
 
-	// HurryFraction hurries the next joined phase when stashed
-	// transactions in the current split phase exceed this fraction of
-	// commits (§5.4: "if, in a split phase, workers have to abort and
-	// stash too many transactions, the coordinator hurries the next
-	// joined phase"). Zero uses the default.
-	HurryFraction float64
+	// StashBudget bounds how long a stashed transaction waits for the
+	// next joined phase: a split phase ends once its first stash is
+	// StashBudget old, and the joined phase after it lasts no longer
+	// than that split phase did. This is the paper's "hurries the next
+	// joined phase" (§5.4) as a latency budget — the phase length trade
+	// of Figs. 13/14 and Table 3, paid only while someone waits. Zero
+	// uses the default (1 ms).
+	StashBudget time.Duration
 
 	// SampleRate samples one in SampleRate conflicts for the classifier
 	// (§5.5: "Doppel samples transactions' conflicting record
@@ -70,10 +74,14 @@ type Config struct {
 	// split below 30% writes, §8.5).
 	ReadDominance float64
 
-	// KeepMinWrites demotes a split key whose slice writes during the
-	// previous split phase fell below this count (§5.5: "Doppel uses
-	// write sampling to estimate if a split record might still be
-	// contended").
+	// KeepMinWrites demotes a split key whose slice writes fell below
+	// this count per PhaseLength of split time (§5.5: "Doppel uses write
+	// sampling to estimate if a split record might still be
+	// contended"). The classifier judges a key once at least one
+	// PhaseLength of split time has accumulated since its last judgment,
+	// so split phases cut short by StashBudget do not demote a key the
+	// full-length phase would keep. With PhaseLength zero (no
+	// coordinator) every decision judges the last split phase alone.
 	KeepMinWrites int
 
 	// KeepWriteFraction demotes a split key whose slice writes fall
@@ -110,12 +118,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's configuration for w workers: 20 ms
-// phases and automatic classification.
+// phases, a 1 ms stash budget and automatic classification.
 func DefaultConfig(w int) Config {
 	return Config{
 		Workers:           w,
 		PhaseLength:       20 * time.Millisecond,
-		HurryFraction:     0.5,
+		StashBudget:       time.Millisecond,
 		SampleRate:        1,
 		SplitMinConflicts: 8,
 		SplitFraction:     0.02,
@@ -148,8 +156,8 @@ func (c Config) withDefaults() Config {
 			c.WorkerIDBase, c.Workers = MaxWorkers-1, 1
 		}
 	}
-	if c.HurryFraction <= 0 {
-		c.HurryFraction = d.HurryFraction
+	if c.StashBudget <= 0 {
+		c.StashBudget = d.StashBudget
 	}
 	if c.SampleRate < 1 {
 		c.SampleRate = d.SampleRate

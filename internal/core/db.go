@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,17 +64,31 @@ type DB struct {
 
 	workers []*Worker
 
-	// classifier state (coordinator-side master copy)
+	// classifier state (coordinator-side master copy), guarded by classMu
 	classMu   sync.Mutex
 	curAssign map[string]store.OpKind // current split assignment
 	hints     map[string]store.OpKind // manual labels (§5.5)
 	lastSplit map[string]bool         // keys that went through the last split phase
+	class     classScratch            // reused aggregation maps and the last split set
 
 	// phase accounting
-	extends      int // consecutive split-phase extensions (coordinator only)
 	phaseChanges atomic.Uint64
 	splitPhases  atomic.Uint64
 	phaseStartNs atomic.Int64 // engine.Now() at the current phase's start (monotonic)
+	splitNs      atomic.Int64 // split time the classifier has not yet accounted for
+
+	// The coordinator (see advance). firstStashNs is the engine.Now()
+	// stamp of the current split phase's first stash, 0 until one. dueNs
+	// is when the next step is due (math.MaxInt64 for never), which
+	// workers compare with the clock they read at every commit.
+	coordinated  bool          // a coordinator runs: PhaseLength > 0 at Open, until Close
+	kick         chan struct{} // one slot; see kickCoordinator
+	firstStashNs atomic.Int64
+	dueNs        atomic.Int64
+	coordMu      sync.Mutex    // serializes steps; guards the three fields below
+	extends      int           // extensions of the current split phase
+	extendsEpoch uint64        // the phase epoch extends counts for
+	splitRan     time.Duration // how long the last split phase ran; 0 when the joined phase followed none
 
 	stop    chan struct{}
 	coordWG sync.WaitGroup
@@ -91,6 +106,8 @@ func Open(st *store.Store, cfg Config) *DB {
 		curAssign: map[string]store.OpKind{},
 		hints:     map[string]store.OpKind{},
 		lastSplit: map[string]bool{},
+		class:     newClassScratch(),
+		kick:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
 	db.split.Store(emptySplitSet)
@@ -99,7 +116,10 @@ func Open(st *store.Store, cfg Config) *DB {
 		db.workers[i] = newWorker(db, i)
 	}
 	db.phaseStartNs.Store(engine.Now())
+	db.dueNs.Store(math.MaxInt64)
 	if cfg.PhaseLength > 0 {
+		db.coordinated = true
+		db.dueNs.Store(engine.Now() + int64(cfg.PhaseLength))
 		db.coordWG.Add(1)
 		go db.coordinate()
 	}
@@ -276,86 +296,202 @@ func (db *DB) completeTransition(tr *transition) {
 	// leave the phase clock and change counter alone, or frequent
 	// checkpoints would keep resetting the coordinator's "joined phase
 	// long enough?" timer and starve split phases entirely.
-	noop := tr.target == Phase(db.phase.Load())
+	from, now := Phase(db.phase.Load()), engine.Now()
 	if tr.target == PhaseSplit {
 		db.split.Store(tr.nextSet.withoutFenced())
 		db.splitPhases.Add(1)
 	} else {
 		db.split.Store(emptySplitSet)
 	}
+	if tr.target != from {
+		if from == PhaseSplit {
+			db.splitNs.Add(now - db.phaseStartNs.Load())
+		}
+		// No worker executes until tr.released closes below, so no
+		// stash of the new phase can precede this reset.
+		db.firstStashNs.Store(0)
+		db.phaseChanges.Add(1)
+		db.phaseStartNs.Store(now)
+	}
+	if db.coordinated {
+		// The next step computes the new phase's deadline: it is due now.
+		db.dueNs.Store(now)
+	}
 	db.phase.Store(int32(tr.target))
 	db.phaseEpoch.Store(tr.epoch)
-	if !noop {
-		db.phaseChanges.Add(1)
-		db.phaseStartNs.Store(engine.Now())
-	}
 	db.inflight.Store(nil)
 	close(tr.released)
 	db.WakeAll()
+	db.kickCoordinator()
 }
 
-// coordinate is the coordinator loop: it proposes a phase change every
-// PhaseLength, skips split phases with no candidates ("the coordinator
-// delays the next split phase", §5.4), and hurries the joined phase when
-// stashes pile up.
+// kickCoordinator leaves a wakeup for the coordinator without blocking.
+// Like a worker's wake channel, the one slot carries no data: the
+// coordinator re-reads all phase state after taking it, so a send that
+// finds the slot full is covered by the token already there.
+func (db *DB) kickCoordinator() {
+	select {
+	case db.kick <- struct{}{}:
+	default:
+	}
+}
+
+// noteStash starts the current split phase's StashBudget clock at its
+// first stash: the deadline moves up to the stash's age reaching the
+// budget. Later stashes of the phase cost one atomic load.
+func (db *DB) noteStash() {
+	if db.firstStashNs.Load() != 0 {
+		return
+	}
+	now := engine.Now()
+	if !db.firstStashNs.CompareAndSwap(0, now) || !db.coordinated {
+		return
+	}
+	db.dueBy(now + int64(db.cfg.StashBudget))
+	db.kickCoordinator() // to re-arm its timer
+}
+
+// dueBy moves the next step's deadline up to t if it is later.
+func (db *DB) dueBy(t int64) {
+	for due := db.dueNs.Load(); t < due && !db.dueNs.CompareAndSwap(due, t); due = db.dueNs.Load() {
+	}
+}
+
+// checkDue is called with the clock a worker read at commit. The first
+// worker to see the step come due takes it. While every processor runs
+// a worker that never blocks, the runtime runs the coordinator's timer,
+// and a goroutine a kick readied, only at the next preemption, which
+// can be milliseconds late: as long as the whole stash budget.
+func (db *DB) checkDue(now int64) {
+	if due := db.dueNs.Load(); now >= due && db.dueNs.CompareAndSwap(due, math.MaxInt64) {
+		// The coordinator's timer is armed for this same deadline, so it
+		// fires and re-arms without a kick.
+		db.advance(now)
+	}
+}
+
+// advance takes the coordinator's step at now and publishes when the
+// next one is due. The coordinator calls it on its timer and kicks; a
+// worker calls it when it commits after the step came due (checkDue).
+func (db *DB) advance(now int64) time.Duration {
+	db.coordMu.Lock()
+	defer db.coordMu.Unlock()
+	wait := db.step(now)
+	if wait <= 0 {
+		db.dueNs.Store(math.MaxInt64)
+		return wait
+	}
+	db.dueNs.Store(now + int64(wait))
+	// A first stash that landed after step read firstStashNs may have
+	// moved the deadline up just before the store above; restore it.
+	if first := db.firstStashNs.Load(); first != 0 {
+		db.dueBy(first + int64(db.cfg.StashBudget))
+	}
+	return wait
+}
+
+// coordinate is the coordinator loop (§5.4). It sleeps until something
+// can change its decision — stop, a kick (a split phase's first stash,
+// a completed transition, a step a worker took), or its one timer
+// reaching the next deadline — and then takes a step. No ticker polls
+// it.
 func (db *DB) coordinate() {
 	defer db.coordWG.Done()
-	tick := db.cfg.PhaseLength / 4
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	timer := time.NewTicker(tick)
+	timer := time.NewTimer(db.cfg.PhaseLength)
 	defer timer.Stop()
 	for {
 		select {
 		case <-db.stop:
 			return
+		case <-db.kick:
 		case <-timer.C:
 		}
-		if db.inflight.Load() != nil {
-			continue
+		// Since Go 1.23 Reset and Stop discard a pending expiry, so the
+		// reused timer never delivers a stale deadline.
+		if wait := db.advance(engine.Now()); wait > 0 {
+			timer.Reset(wait)
+		} else {
+			timer.Stop()
 		}
-		elapsed := time.Duration(engine.Now() - db.phaseStartNs.Load())
-		switch db.Phase() {
-		case PhaseJoined:
-			if elapsed < db.cfg.PhaseLength {
-				continue
-			}
-			set := db.decideNextSplit()
-			if set.size() == 0 {
-				// Nothing worth splitting: stay joined, reset the timer
-				// so classifier windows stay one phase long.
-				db.phaseStartNs.Store(engine.Now())
-				continue
-			}
-			db.beginTransition(PhaseSplit, set)
-		case PhaseSplit:
-			var commits, stashes, sliceWrites uint64
+	}
+}
+
+// step proposes the phase change due at now, if any, and returns how
+// long until the current phase's next deadline; 0 means there is none
+// and only a kick can change the decision (a transition is in flight,
+// and its completion kicks).
+//
+// A joined phase lasts PhaseLength, or no longer than the last split
+// phase that absorbed slice writes: a split phase cut short by the
+// stash budget is followed by an equally short joined phase, which
+// keeps the split share of time where full-length phases put it. A
+// joined phase with nothing to split restarts its clock ("the
+// coordinator delays the next split phase").
+//
+// A split phase ends StashBudget after its first stash, or PhaseLength
+// after it began if earlier. If it has absorbed no slice write by the
+// time someone stashes, it batches nothing the wait would pay for and
+// ends at once. One that stashed nothing has no one waiting for a
+// joined phase; while it keeps absorbing slice writes it is extended by
+// PhaseLength, up to MaxSplitExtend times, rather than pay a barrier.
+func (db *DB) step(now int64) time.Duration {
+	if db.inflight.Load() != nil {
+		return 0
+	}
+	start := db.phaseStartNs.Load()
+	switch db.Phase() {
+	case PhaseJoined:
+		length := db.cfg.PhaseLength
+		if db.splitRan > 0 {
+			length = min(length, db.splitRan)
+		}
+		if elapsed := time.Duration(now - start); elapsed < length {
+			return length - elapsed
+		}
+		set := db.decideNextSplit()
+		if set.size() == 0 {
+			db.splitRan = 0
+			db.phaseStartNs.Store(engine.Now())
+			return db.cfg.PhaseLength
+		}
+		db.beginTransition(PhaseSplit, set)
+		return 0
+	default:
+		if ep := db.phaseEpoch.Load(); ep != db.extendsEpoch {
+			db.extendsEpoch, db.extends = ep, 0
+		}
+		var sliceWrites uint64
+		for _, w := range db.workers {
+			sliceWrites += w.sliceWritesPhase.Load()
+		}
+		absorbed := sliceWrites > 0 || db.extends > 0
+		deadline := start + int64(db.extends+1)*int64(db.cfg.PhaseLength)
+		first := db.firstStashNs.Load()
+		switch {
+		case first != 0 && !absorbed:
+			deadline = first // nothing batched that waiting would pay for
+		case first != 0:
+			deadline = min(deadline, first+int64(db.cfg.StashBudget))
+		}
+		if now < deadline {
+			return time.Duration(deadline - now)
+		}
+		if first == 0 && db.extends < db.cfg.MaxSplitExtend && sliceWrites > uint64(db.cfg.KeepMinWrites) {
 			for _, w := range db.workers {
-				commits += w.commitsPhase.Load()
-				stashes += w.stashedPhase.Load()
-				sliceWrites += w.sliceWritesPhase.Load()
+				w.sliceWritesPhase.Store(0)
 			}
-			hurry := commits+stashes > 0 &&
-				float64(stashes) > db.cfg.HurryFraction*float64(commits+stashes)
-			if elapsed < db.cfg.PhaseLength && !hurry {
-				continue
-			}
-			// A split phase with no stashed transactions has nothing
-			// waiting on a joined phase; extend it rather than pay a
-			// barrier, up to MaxSplitExtend times.
-			if stashes == 0 && sliceWrites > uint64(db.cfg.KeepMinWrites) &&
-				db.extends < db.cfg.MaxSplitExtend {
-				db.extends++
-				for _, w := range db.workers {
-					w.sliceWritesPhase.Store(0)
-				}
-				db.phaseStartNs.Store(engine.Now())
-				continue
-			}
-			db.extends = 0
-			db.beginTransition(PhaseJoined, nil)
+			db.extends++
+			return db.cfg.PhaseLength
 		}
+		// The joined phase's clock starts when this transition completes,
+		// so measure the split phase up to its publication: both phases
+		// then carry one transition's latency. A split phase that
+		// absorbed nothing says nothing about the next one's length.
+		if absorbed {
+			db.splitRan = time.Duration(now - start)
+		}
+		db.beginTransition(PhaseJoined, nil)
+		return 0
 	}
 }
 
@@ -428,6 +564,10 @@ func (db *DB) Close() {
 	db.closed = true
 	close(db.stop)
 	db.coordWG.Wait()
+	// Workers are stopped too, so quiesce's replays must not take a
+	// coordinator step.
+	db.coordinated = false
+	db.dueNs.Store(math.MaxInt64)
 	db.quiesce()
 }
 

@@ -148,8 +148,8 @@ func TestManualSplitAddAndStash(t *testing.T) {
 	st := db.WorkerStats(0)
 	// Each stashed transaction committed on its first replay, which is
 	// its normal completion — not a retry.
-	if st.Stashed != 3 || st.Retries != 0 {
-		t.Fatalf("stash accounting: stashed=%d retries=%d", st.Stashed, st.Retries)
+	if st.Stashed.Load() != 3 || st.Retries.Load() != 0 {
+		t.Fatalf("stash accounting: stashed=%d retries=%d", st.Stashed.Load(), st.Retries.Load())
 	}
 }
 

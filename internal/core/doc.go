@@ -20,6 +20,31 @@
 // Consequently every transaction executes entirely within one phase,
 // and no commit is ever in flight while a transition completes.
 //
+// # Phase rules
+//
+// The coordinator proposes every phase change; DB.step holds the rules
+// (§5.4):
+//
+//   - A joined phase lasts PhaseLength, or no longer than the last
+//     split phase that absorbed slice writes. Then the classifier picks
+//     the next split set; an empty one restarts the joined phase's
+//     clock.
+//   - A split phase ends StashBudget after its first stash, or
+//     PhaseLength after it began if that is earlier: a stashed
+//     transaction waits about one budget, not one phase. One that has
+//     absorbed no slice write when a transaction stashes ends at once.
+//     One that stashed nothing but keeps absorbing slice writes is
+//     extended by PhaseLength, up to MaxSplitExtend times.
+//
+// The coordinator goroutine sleeps on stop, a one-slot kick channel and
+// one reused timer armed for the next deadline; nothing polls. The
+// first stash of a split phase moves the deadline up and kicks it, and
+// completeTransition kicks it. Each deadline is also published in
+// dueNs, and a worker that commits after it takes the step itself
+// (DB.checkDue, under coordMu): while every processor runs a worker
+// that never blocks, the runtime fires the timer only at the next
+// preemption, which would stretch the stash budget by milliseconds.
+//
 // # The wake channel
 //
 // A driver does not have to poll on a timer to keep transitions moving.

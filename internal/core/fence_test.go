@@ -46,8 +46,8 @@ func TestFencedRecordAbortsWriters(t *testing.T) {
 		t.Fatalf("write to free record: outcome %v err %v, want Committed", out, err)
 	}
 	// The abort is counted as a fence abort, not a conflict.
-	if s := db.WorkerStats(0); s.FenceAborts == 0 || s.Aborted != 0 {
-		t.Fatalf("stats fence_aborts=%d aborted=%d, want >0 and 0", s.FenceAborts, s.Aborted)
+	if s := db.WorkerStats(0); s.FenceAborts.Load() == 0 || s.Aborted.Load() != 0 {
+		t.Fatalf("stats fence_aborts=%d aborted=%d, want >0 and 0", s.FenceAborts.Load(), s.Aborted.Load())
 	}
 }
 

@@ -51,7 +51,7 @@ func TestReconcileMergeFailureKeepsTID(t *testing.T) {
 	if rec.Value() != valBefore {
 		t.Fatalf("merge failure replaced the value: %v", rec.Value())
 	}
-	if got := db.WorkerStats(0).MergeFailures; got != 1 {
+	if got := db.WorkerStats(0).MergeFailures.Load(); got != 1 {
 		t.Fatalf("MergeFailures = %d, want 1", got)
 	}
 	// The record still works for compatible transactions afterwards.
@@ -140,8 +140,8 @@ func TestStashedFirstReplayIsNotARetry(t *testing.T) {
 	}
 	db.Poll(0) // drains the stash; the replay commits immediately
 	st := db.WorkerStats(0)
-	if st.Stashed != 1 || st.Retries != 0 {
-		t.Fatalf("stashed=%d retries=%d, want 1/0", st.Stashed, st.Retries)
+	if st.Stashed.Load() != 1 || st.Retries.Load() != 0 {
+		t.Fatalf("stashed=%d retries=%d, want 1/0", st.Stashed.Load(), st.Retries.Load())
 	}
 }
 

@@ -90,6 +90,21 @@ func (s *splitSet) withoutFenced() *splitSet {
 	return out
 }
 
+// matches reports whether s splits exactly the keys of assign, each
+// with its assigned operation and over the record st holds for it now.
+// The classifier then republishes s instead of building an equal set.
+func (s *splitSet) matches(st *store.Store, assign map[string]store.OpKind) bool {
+	if s == nil || len(s.list) != len(assign) {
+		return false
+	}
+	for _, sk := range s.list {
+		if op, ok := assign[sk.key]; !ok || op != sk.op || st.Get(sk.key) != sk.rec {
+			return false
+		}
+	}
+	return true
+}
+
 // lookup returns the split entry for key, or nil.
 func (s *splitSet) lookup(key string) *splitKey {
 	if s == nil || len(s.keys) == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -212,4 +213,81 @@ func TestWakeCompletesBarrier(t *testing.T) {
 		t.Fatal("barrier refused")
 	}
 	await(t, ran, "the barrier")
+}
+
+// TestStashBudgetEndsSplitPhase: with an hour-long PhaseLength, a read
+// of a hinted key that stashes in a split phase which absorbed a slice
+// write still commits within a few StashBudgets. The coordinator ends
+// the split phase on the stash's age, not on the phase clock, and the
+// joined phase after it lasts no longer than that split phase, so the
+// engine cycles back to split on its own.
+func TestStashBudgetEndsSplitPhase(t *testing.T) {
+	const budget = 2 * time.Millisecond
+	cfg := DefaultConfig(2)
+	cfg.PhaseLength = time.Hour
+	cfg.StashBudget = budget
+	db := Open(store.New(), cfg)
+	db.Store().Preload("hot", store.IntValue(0))
+	db.SplitHint("hot", store.OpAdd)
+	d := startWakeDriver(t, db)
+	if !db.RequestSplitPhase() {
+		t.Fatal("split phase refused")
+	}
+	add := func(tx engine.Tx) error { return tx.Add("hot", 1) }
+	read := func(tx engine.Tx) error { _, err := tx.GetInt("hot"); return err }
+	var waits []time.Duration
+	for len(waits) < 5 {
+		// Wait for a split phase; after the first, the coordinator
+		// starts each one itself.
+		for start := time.Now(); db.Phase() != PhaseSplit; time.Sleep(100 * time.Microsecond) {
+			if time.Since(start) > time.Second {
+				t.Fatalf("no split phase within 1s after %d stashed reads (PhaseLength is an hour)", len(waits))
+			}
+		}
+		added := make(chan engine.Outcome, 1)
+		d.submit(1, add, added, nil)
+		await(t, added, "a split-phase Add")
+		done := make(chan engine.Outcome, 1)
+		stashed := make(chan struct{})
+		d.submit(0, read, done, stashed)
+		var t0 time.Time
+		select {
+		case <-stashed:
+			t0 = time.Now()
+		case <-done:
+			continue // the phase changed first; the read ran joined
+		}
+		await(t, done, "the stashed read's completion")
+		waits = append(waits, time.Since(t0))
+	}
+	slices.Sort(waits)
+	t.Logf("stashed read waits %v, budget %v", waits, budget)
+	if med := waits[len(waits)/2]; med > 10*budget {
+		t.Fatalf("median stashed-read wait %v, want within a few budgets of %v", med, budget)
+	}
+}
+
+// TestStashEndsIdleSplitPhase: a split phase that has absorbed no slice
+// write batches nothing a stashed transaction's wait would pay for, so
+// its first stash ends it at once rather than a budget later.
+func TestStashEndsIdleSplitPhase(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.PhaseLength = time.Hour
+	cfg.StashBudget = time.Hour
+	db := Open(store.New(), cfg)
+	db.Store().Preload("hot", store.IntValue(0))
+	db.SplitHint("hot", store.OpAdd)
+	d := startWakeDriver(t, db)
+	if !db.RequestSplitPhase() {
+		t.Fatal("split phase refused")
+	}
+	await(t, released(db), "the split transition")
+	done := make(chan engine.Outcome, 1)
+	d.submit(0, func(tx engine.Tx) error { _, err := tx.GetInt("hot"); return err }, done, nil)
+	if out := await(t, done, "the stashed read's completion"); out != engine.Stashed {
+		t.Fatalf("read finished %v, want stashed and then drained", out)
+	}
+	if db.Phase() != PhaseJoined {
+		t.Fatalf("phase %v after the drain, want joined", db.Phase())
+	}
 }

@@ -35,11 +35,10 @@ type stashedTxn struct {
 // record on one worker (§4). val == nil is the operation's identity.
 //
 // The integer operations (Add, Max, Min, Mult) accumulate in place in
-// own, and val then points at it, so a slice allocates nothing after
-// its first write in a phase. Reconcile may publish val into the global
-// record; that is safe because the slices are dropped right after and
-// the next split phase starts from a fresh array, so a published own is
-// never written again.
+// own, and val then points at it, so a slice allocates nothing. The
+// slice array is reused from one split phase to the next, so own is
+// written again: reconcile never publishes a pointer to it into the
+// global record, but a copy.
 type sliceState struct {
 	val    *store.Value
 	own    store.Value
@@ -61,6 +60,7 @@ type Worker struct {
 	seenEpoch       uint64 // highest completed epoch whose entry work ran
 	slices          []sliceState
 	stash           []stashedTxn
+	stashSpare      []stashedTxn // the drained stash's backing array, reused by the next drain
 	tx              Tx
 	sampleTick      int
 	stashTick       int
@@ -88,16 +88,14 @@ type Worker struct {
 
 	// Cross-thread counters read by the coordinator.
 	attemptsWindow   atomic.Uint64 // attempts since the classifier last looked
-	commitsPhase     atomic.Uint64 // commits in the current phase
-	stashedPhase     atomic.Uint64 // stashes in the current phase
-	sliceWritesPhase atomic.Uint64 // slice writes in the current phase
+	sliceWritesPhase atomic.Uint64 // slice writes since the phase began or was extended
 
 	// Classifier samples, guarded by statsMu (worker writes, coordinator
-	// aggregates and resets).
+	// aggregates and clears; the maps keep their buckets across phases).
 	statsMu      sync.Mutex
-	conflicts    map[string]*opCounts // joined-phase conflict samples
-	splitWrites  map[string]uint64    // split-phase slice write counts
-	splitStashes map[string]*opCounts // split-phase stash samples by op
+	conflicts    map[string]opCounts // joined-phase conflict samples
+	splitWrites  map[string]uint64   // split-phase slice write counts
+	splitStashes map[string]opCounts // split-phase stash samples by op
 }
 
 func newWorker(db *DB, id int) *Worker {
@@ -107,9 +105,9 @@ func newWorker(db *DB, id int) *Worker {
 		tidID:        db.cfg.WorkerIDBase + id,
 		stats:        metrics.NewTxnStats(),
 		wake:         make(chan struct{}, 1),
-		conflicts:    map[string]*opCounts{},
+		conflicts:    map[string]opCounts{},
 		splitWrites:  map[string]uint64{},
-		splitStashes: map[string]*opCounts{},
+		splitStashes: map[string]opCounts{},
 	}
 }
 
@@ -150,8 +148,6 @@ func (w *Worker) checkPhase() bool {
 	// transition.
 	if ep := db.phaseEpoch.Load(); w.seenEpoch < ep {
 		w.seenEpoch = ep
-		w.commitsPhase.Store(0)
-		w.stashedPhase.Store(0)
 		w.sliceWritesPhase.Store(0)
 		if db.Phase() == PhaseSplit {
 			w.resetSlices(db.split.Load())
@@ -205,13 +201,18 @@ func (w *Worker) reconcile() {
 			// from memory since no redo record is logged. Count the loss
 			// and log it once per worker rather than once per phase.
 			rec.Unlock()
-			w.stats.MergeFailures++
+			w.stats.MergeFailures.Add(1)
 			if !w.loggedMergeFail {
 				w.loggedMergeFail = true
 				log.Printf("doppel: worker %d: reconcile dropped %d absorbed %v writes for %q: %v",
 					w.id, sl.writes, sk.op, sk.key, err)
 			}
 			continue
+		}
+		if merged == &sl.own {
+			// The next split phase reuses this slice: publish a copy.
+			v := sl.own
+			merged = &v
 		}
 		rec.SetValue(merged)
 		tid, _ := rec.TIDWord()
@@ -237,16 +238,23 @@ func (w *Worker) reconcile() {
 		w.splitWrites[sk.key] += sl.writes
 		w.statsMu.Unlock()
 	}
-	w.slices = nil
+	w.slices = w.slices[:0]
 	// Every absorbed slice write is now merged and its redo record (if
 	// any) appended — redoLSN covers them, so durability-synchronous
 	// waiters may proceed to the watermark.
 	w.slicedRedo = false
 }
 
-// resetSlices prepares empty per-core slices for a new split phase.
+// resetSlices prepares empty per-core slices for a new split phase,
+// reusing the previous phase's array when it is large enough.
 func (w *Worker) resetSlices(set *splitSet) {
-	w.slices = make([]sliceState, set.size())
+	n := set.size()
+	if cap(w.slices) < n {
+		w.slices = make([]sliceState, n)
+		return
+	}
+	w.slices = w.slices[:n]
+	clear(w.slices)
 }
 
 // drainStash re-executes stashed transactions during a joined phase.
@@ -256,8 +264,10 @@ func (w *Worker) drainStash() {
 	if len(w.stash) == 0 {
 		return
 	}
+	// Replays cannot stash (this is a joined phase), but one that hits a
+	// commit fence goes back into w.stash: give it the spare array.
 	pending := w.stash
-	w.stash = nil
+	w.stash = w.stashSpare[:0]
 	for _, s := range pending {
 		for attempt := 0; ; attempt++ {
 			// The stash itself was already counted (Stashed); the first
@@ -265,7 +275,7 @@ func (w *Worker) drainStash() {
 			// attempts beyond it count as retries — otherwise a stashed
 			// transaction that commits immediately would still report one.
 			if attempt > 0 {
-				w.stats.Retries++
+				w.stats.Retries.Add(1)
 			}
 			out, _ := w.execOnce(s.fn, s.submit)
 			if out == engine.Committed || out == engine.UserAbort {
@@ -285,7 +295,7 @@ func (w *Worker) drainStash() {
 				// Pathological livelock: drop the transaction after
 				// counting its aborts, but never silently — the loss is
 				// visible in Stats and logged once per worker.
-				w.stats.StashDropped++
+				w.stats.StashDropped.Add(1)
 				if !w.loggedStashDrop {
 					w.loggedStashDrop = true
 					log.Printf("doppel: worker %d: dropped a stashed transaction after %d failed replays (livelock); counting further drops in stats only", w.id, attempt)
@@ -294,6 +304,8 @@ func (w *Worker) drainStash() {
 			}
 		}
 	}
+	clear(pending) // drop the replayed closures for the collector
+	w.stashSpare = pending[:0]
 }
 
 // attempt implements one engine.Attempt call for this worker.
@@ -332,14 +344,14 @@ func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, 
 		if len(w.stash) > w.maxStashLen {
 			w.maxStashLen = len(w.stash)
 		}
-		w.stats.Stashed++
-		w.stashedPhase.Add(1)
+		w.stats.Stashed.Add(1)
+		w.db.noteStash()
 		return engine.Stashed, nil
 	case errors.Is(err, engine.ErrFenced):
-		w.stats.FenceAborts++
+		w.stats.FenceAborts.Add(1)
 		return engine.AbortedFenced, nil
 	case errors.Is(err, engine.ErrAbort):
-		w.stats.Aborted++
+		w.stats.Aborted.Add(1)
 		return engine.Aborted, nil
 	case err != nil:
 		return engine.UserAbort, err
@@ -350,18 +362,19 @@ func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, 
 	}
 	switch out {
 	case engine.Committed:
-		w.stats.Committed++
-		w.commitsPhase.Add(1)
-		lat := engine.Now() - submitNanos
+		w.stats.Committed.Add(1)
+		now := engine.Now()
+		w.db.checkDue(now)
+		lat := now - submitNanos
 		if tx.wrote {
 			w.stats.WriteLatency.Record(lat)
 		} else {
 			w.stats.ReadLatency.Record(lat)
 		}
 	case engine.Aborted:
-		w.stats.Aborted++
+		w.stats.Aborted.Add(1)
 	case engine.AbortedFenced:
-		w.stats.FenceAborts++
+		w.stats.FenceAborts.Add(1)
 	}
 	return out, nil
 }
@@ -387,11 +400,8 @@ func (w *Worker) sampleConflict(key string, op store.OpKind) {
 	}
 	w.statsMu.Lock()
 	oc := w.conflicts[key]
-	if oc == nil {
-		oc = &opCounts{}
-		w.conflicts[key] = oc
-	}
 	oc[op]++
+	w.conflicts[key] = oc
 	w.statsMu.Unlock()
 }
 
@@ -407,10 +417,7 @@ func (w *Worker) sampleStash(key string, op store.OpKind) {
 	}
 	w.statsMu.Lock()
 	oc := w.splitStashes[key]
-	if oc == nil {
-		oc = &opCounts{}
-		w.splitStashes[key] = oc
-	}
 	oc[op]++
+	w.splitStashes[key] = oc
 	w.statsMu.Unlock()
 }

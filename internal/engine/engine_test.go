@@ -158,7 +158,7 @@ func TestTxContract(t *testing.T) {
 			}
 
 			// Commits count in the worker's stats.
-			if s := e.WorkerStats(0); s.Committed == 0 {
+			if s := e.WorkerStats(0); s.Committed.Load() == 0 {
 				t.Error("WorkerStats.Committed = 0 after commits")
 			}
 			if e.Workers() != 1 {

@@ -148,14 +148,17 @@ func TestBucketHugeValue(t *testing.T) {
 
 func TestTxnStatsMergeAndThroughput(t *testing.T) {
 	a, b := NewTxnStats(), NewTxnStats()
-	a.Committed, a.Aborted = 10, 2
-	b.Committed, b.Stashed, b.Retries = 5, 3, 1
+	a.Committed.Store(10)
+	a.Aborted.Store(2)
+	b.Committed.Store(5)
+	b.Stashed.Store(3)
+	b.Retries.Store(1)
 	a.ReadLatency.Record(100)
 	b.ReadLatency.Record(200)
 	b.WriteLatency.Record(300)
 	a.Merge(b)
-	if a.Committed != 15 || a.Aborted != 2 || a.Stashed != 3 || a.Retries != 1 {
-		t.Fatalf("bad merge: %+v", a)
+	if a.Committed.Load() != 15 || a.Aborted.Load() != 2 || a.Stashed.Load() != 3 || a.Retries.Load() != 1 {
+		t.Fatalf("bad merge: %v", a)
 	}
 	if a.ReadLatency.Count() != 2 || a.WriteLatency.Count() != 1 {
 		t.Fatal("histograms not merged")
@@ -168,7 +171,7 @@ func TestTxnStatsMergeAndThroughput(t *testing.T) {
 	}
 	a.Merge(nil)
 	a.Reset()
-	if a.Committed != 0 || a.ReadLatency.Count() != 0 {
+	if a.Committed.Load() != 0 || a.ReadLatency.Count() != 0 {
 		t.Fatal("reset failed")
 	}
 }

@@ -76,7 +76,7 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 	case errors.Is(err, engine.ErrAbort):
 		out = engine.Aborted
 	case err != nil:
-		ws.stats.Aborted++ // count it, but surface the user error
+		ws.stats.Aborted.Add(1) // count it, but surface the user error
 		return engine.UserAbort, err
 	default:
 		out, err = tx.commit()
@@ -86,7 +86,7 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 	}
 	switch out {
 	case engine.Committed:
-		ws.stats.Committed++
+		ws.stats.Committed.Add(1)
 		lat := engine.Now() - submitNanos
 		if tx.wrote {
 			ws.stats.WriteLatency.Record(lat)
@@ -94,7 +94,7 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 			ws.stats.ReadLatency.Record(lat)
 		}
 	case engine.Aborted:
-		ws.stats.Aborted++
+		ws.stats.Aborted.Add(1)
 	}
 	return out, nil
 }

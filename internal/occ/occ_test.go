@@ -255,7 +255,7 @@ func TestConflictingIncrementsNoLostUpdates(t *testing.T) {
 	// Stats should account for every commit.
 	total := uint64(0)
 	for w := 0; w < 4; w++ {
-		total += e.WorkerStats(w).Committed
+		total += e.WorkerStats(w).Committed.Load()
 	}
 	if total < 4*perWorker {
 		t.Fatalf("stats undercount: %d", total)

@@ -76,14 +76,14 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 	err := fn(tx)
 	if err != nil {
 		tx.releaseAll()
-		ws.stats.Aborted++
+		ws.stats.Aborted.Add(1)
 		return engine.UserAbort, err
 	}
 	if err := tx.commit(); err != nil {
-		ws.stats.Aborted++
+		ws.stats.Aborted.Add(1)
 		return engine.UserAbort, err
 	}
-	ws.stats.Committed++
+	ws.stats.Committed.Add(1)
 	lat := engine.Now() - submitNanos
 	if tx.wrote {
 		ws.stats.WriteLatency.Record(lat)

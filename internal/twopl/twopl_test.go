@@ -200,10 +200,10 @@ func TestNeverAbortsUnderContention(t *testing.T) {
 	wg.Wait()
 	var total uint64
 	for w := 0; w < 4; w++ {
-		if e.WorkerStats(w).Aborted != 0 {
+		if e.WorkerStats(w).Aborted.Load() != 0 {
 			t.Fatal("2PL recorded aborts")
 		}
-		total += e.WorkerStats(w).Committed
+		total += e.WorkerStats(w).Committed.Load()
 	}
 	if total != 4*perWorker {
 		t.Fatalf("commit count %d", total)

@@ -40,6 +40,45 @@ func NewZipf(n int, alpha float64) *Zipf {
 	return &Zipf{n: n, alpha: alpha, h: h, alias: NewAlias(weights)}
 }
 
+// harmonicDirect is how many leading terms Harmonic adds one by one.
+const harmonicDirect = 1000
+
+// Harmonic returns the generalized harmonic number H(n, alpha), the sum
+// of k^-alpha for k = 1..n: the normalizer of Zipf(n, alpha), under
+// which the item of 0-based rank k has probability (k+1)^-alpha / H.
+// It adds the terms below harmonicDirect one by one and the rest by the
+// Euler–Maclaurin formula, cut after its x^-(alpha+5) term, whose
+// remainder there is far below float64 rounding: the result matches
+// the direct sum without n calls to math.Pow.
+func Harmonic(n int, alpha float64) float64 {
+	h := 0.0
+	for k := 1; k <= min(n, harmonicDirect-1); k++ {
+		h += math.Pow(float64(k), -alpha)
+	}
+	if n < harmonicDirect {
+		return h
+	}
+	// The sum of f(k) for k = a..b is the integral of f from a to b,
+	// plus (f(a)+f(b))/2, plus B(2j)/(2j)! times the difference of the
+	// (2j-1)th derivative of f between b and a, for j = 1, 2, 3, ...
+	// For f(x) = x^-alpha that derivative is c x^-(alpha+2j-1), with
+	// c = -alpha for j = 1 and gaining (alpha+2j-1)(alpha+2j) per step.
+	a, b := float64(harmonicDirect), float64(n)
+	if alpha == 1 {
+		h += math.Log(b / a)
+	} else {
+		h += (math.Pow(b, 1-alpha) - math.Pow(a, 1-alpha)) / (1 - alpha)
+	}
+	h += (math.Pow(a, -alpha) + math.Pow(b, -alpha)) / 2
+	c := -alpha
+	for j, bern := range []float64{1.0 / 12, -1.0 / 720, 1.0 / 30240} {
+		e := alpha + float64(2*j+1)
+		h += bern * c * (math.Pow(b, -e) - math.Pow(a, -e))
+		c *= e * (e + 1)
+	}
+	return h
+}
+
 // N returns the number of items.
 func (z *Zipf) N() int { return z.n }
 

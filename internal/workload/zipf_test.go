@@ -35,6 +35,23 @@ func TestZipfProbMatchesPaperTable1(t *testing.T) {
 	}
 }
 
+// TestHarmonicMatchesDirectSum: the Euler–Maclaurin tail agrees with
+// adding every term, for sizes on both sides of the direct prefix and
+// exponents across the range Table 1 sweeps.
+func TestHarmonicMatchesDirectSum(t *testing.T) {
+	for _, n := range []int{1, 999, 1000, 1001, 54321, 1_000_000} {
+		for _, alpha := range []float64{0, 0.2, 0.6, 1.0, 1.4, 2.0} {
+			direct := 0.0
+			for k := 1; k <= n; k++ {
+				direct += math.Pow(float64(k), -alpha)
+			}
+			if got := Harmonic(n, alpha); math.Abs(got-direct) > 1e-12*direct {
+				t.Errorf("Harmonic(%d, %.1f) = %.17g, direct sum %.17g", n, alpha, got, direct)
+			}
+		}
+	}
+}
+
 func TestZipfUniformWhenAlphaZero(t *testing.T) {
 	z := NewZipf(100, 0)
 	for _, k := range []int{0, 50, 99} {
