@@ -33,6 +33,12 @@ type RouterStats struct {
 	Reroutes uint64
 	// CrossShard is transactions committed via two-phase commit.
 	CrossShard uint64
+	// CrossShardReadOnly is read-only transactions that read other
+	// shards' keys in place and committed on their first key's shard
+	// without two-phase commit, after every foreign read was re-checked
+	// (TID unchanged, unlocked, unfenced, not split). It is counted in
+	// neither SingleShard nor CrossShard.
+	CrossShardReadOnly uint64
 	// CrossShardRetries is 2PC rounds re-run because prepare found a
 	// gathered read stale.
 	CrossShardRetries uint64
@@ -271,6 +277,7 @@ func (c *Cluster) Stats() ClusterStats {
 		SingleShard:         snap.SingleShard,
 		Reroutes:            snap.Reroutes,
 		CrossShard:          snap.CrossShard,
+		CrossShardReadOnly:  snap.CrossShardReadOnly,
 		CrossShardRetries:   snap.CrossShardRetries,
 		CrossShardAborts:    snap.CrossShardAborts,
 		CrossShardApplyLost: snap.CrossShardApplyLost,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,7 @@ func fenceStress(t *testing.T, noFences bool) (got, want int64, stats ClusterSta
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.router.NoFences = noFences
+	cl.router.SetNoFencesForTesting(noFences)
 
 	pool := make([]string, 8)
 	for i := range pool {
@@ -170,13 +171,18 @@ func TestClusterFenceDisabledLosesUpdates(t *testing.T) {
 // TestFenceSplitRace stresses the classifier-vs-prepare boundary the
 // publication-time fence filter closes: phase changes are forced at
 // millisecond cadence while every pool key is simultaneously (a) a
-// hinted split candidate hammered with commutative Adds and (b) fenced
-// by cross-shard transfers. If a split-set publication ever admits a
-// key holding a live fence, reconciliation merges the key's slices
-// inside the commit's prepare→apply window — which breaks conservation
-// or trips CrossShardApplyLost. Both must stay exact across thousands
-// of phase transitions.
+// hinted split candidate hammered with commutative Adds, (b) fenced by
+// cross-shard transfers and (c) read in pairs across shards by
+// read-only transactions, whose in-place reads meet split keys and
+// escalate to 2PC. If a split-set publication ever admits a key holding
+// a live fence, reconciliation merges the key's slices inside the
+// commit's prepare→apply window — which breaks conservation or trips
+// CrossShardApplyLost. Both must stay exact while the shards go through
+// fenceSplitPhases phase transitions.
 func TestFenceSplitRace(t *testing.T) {
+	// fenceSplitPhases is the phase-transition count, summed over the
+	// shards, the load runs until; a 10 s deadline bounds the wait.
+	const fenceSplitPhases = 2000
 	cl, err := OpenCluster(ClusterOptions{
 		Shards: 3,
 		DB:     Options{Workers: 2, PhaseLength: time.Millisecond},
@@ -197,40 +203,56 @@ func TestFenceSplitRace(t *testing.T) {
 		// transfers are fencing.
 		cl.SplitHint(pool[i], OpAdd)
 	}
+	phaseChanges := func(st ClusterStats) (n uint64) {
+		for _, s := range st.Shards {
+			n += s.PhaseChanges
+		}
+		return n
+	}
+	// crossPick returns two pool keys on different shards.
+	crossPick := func(rng *rand.Rand) (string, string) {
+		for {
+			a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			if cl.ShardOf(a) != cl.ShardOf(b) {
+				return a, b
+			}
+		}
+	}
 
 	const (
-		adders       = 4
-		addsPer      = 300
-		transferers  = 2
-		transfersPer = 150
+		adders      = 4
+		transferers = 2
+		readers     = 1
 	)
-	var wg sync.WaitGroup
+	var (
+		wg           sync.WaitGroup
+		stop         atomic.Bool
+		adds         atomic.Int64
+		reads        atomic.Int64
+		transferErrs atomic.Int64
+	)
 	for g := 0; g < adders; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < addsPer; i++ {
+			for !stop.Load() {
 				k := pool[rng.Intn(len(pool))]
 				if err := cl.Exec(func(tx Tx) error { return tx.Add(k, 1) }); err != nil {
 					t.Errorf("adder: %v", err)
 					return
 				}
+				adds.Add(1)
 			}
 		}(int64(g))
 	}
-	var transferErrs atomic.Int64
 	for g := 0; g < transferers; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(200 + seed))
-			for i := 0; i < transfersPer; i++ {
-				a := pool[rng.Intn(len(pool))]
-				b := pool[rng.Intn(len(pool))]
-				if cl.ShardOf(a) == cl.ShardOf(b) {
-					continue
-				}
+			for !stop.Load() {
+				a, b := crossPick(rng)
 				amt := int64(rng.Intn(3) + 1)
 				err := cl.Exec(func(tx Tx) error {
 					x, err := tx.GetInt(a)
@@ -252,6 +274,32 @@ func TestFenceSplitRace(t *testing.T) {
 			}
 		}(int64(g))
 	}
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(300 + seed))
+			for !stop.Load() {
+				a, b := crossPick(rng)
+				if err := cl.Exec(func(tx Tx) error {
+					if _, err := tx.GetInt(a); err != nil {
+						return err
+					}
+					_, err := tx.GetInt(b)
+					return err
+				}); err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+				reads.Add(1)
+			}
+		}(int64(g))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for phaseChanges(cl.Stats()) < fenceSplitPhases && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop.Store(true)
 	wg.Wait()
 
 	var sum int64
@@ -265,7 +313,9 @@ func TestFenceSplitRace(t *testing.T) {
 		}
 	}
 	stats := cl.Stats()
-	if want := int64(adders * addsPer); sum != want {
+	t.Logf("%d phase changes, %d adds, %d cross-shard reads; router %+v",
+		phaseChanges(stats), adds.Load(), reads.Load(), stats.Router)
+	if want := adds.Load(); sum != want {
 		t.Errorf("conservation violated across split phases: pool sums to %d, want %d (lost %d)", sum, want, want-sum)
 	}
 	if n := stats.Router.CrossShardApplyLost; n != 0 {
@@ -274,19 +324,179 @@ func TestFenceSplitRace(t *testing.T) {
 	if n := transferErrs.Load(); n != 0 {
 		t.Errorf("%d cross-shard transfers failed; with fences on every transfer must retry to success", n)
 	}
-	var phaseChanges, mergeFailures uint64
-	for _, s := range stats.Shards {
-		phaseChanges += s.PhaseChanges
-		mergeFailures += s.MergeFailures
+	if n := phaseChanges(stats); n < fenceSplitPhases {
+		t.Errorf("%d phase changes before the deadline, want at least %d", n, fenceSplitPhases)
 	}
-	if phaseChanges == 0 {
-		t.Error("no phase changes: the stress never exercised split-set publication")
+	var mergeFailures uint64
+	for _, s := range stats.Shards {
+		mergeFailures += s.MergeFailures
 	}
 	if mergeFailures != 0 {
 		t.Errorf("MergeFailures = %d, want 0", mergeFailures)
 	}
 	if stats.Router.CrossShard == 0 {
 		t.Error("no cross-shard commits: the stress did not exercise 2PC")
+	}
+	if reads.Load() == 0 {
+		t.Error("no cross-shard read committed")
+	}
+}
+
+// keyOnShard returns the first key prefix-N that cl places on shard.
+func keyOnShard(cl *Cluster, shard int, prefix string) string {
+	for i := 0; ; i++ {
+		if k := fmt.Sprintf("%s-%d", prefix, i); cl.ShardOf(k) == shard {
+			return k
+		}
+	}
+}
+
+// TestClusterCrossShardAuditAtomic is the atomic-visibility stress for
+// read-only transactions that read other shards' keys in place.
+// Transferers move amounts within cross-shard key pairs through 2PC;
+// auditors read a pair in one Exec or ExecAsync and require its sum to
+// be unchanged. Half the audits first read an anchor key on a third
+// shard, so both pair reads are foreign and only the router's
+// validation stands between the audit and a half-applied transfer: a
+// missing fence check lets it see one side applied and the other not, a
+// missing TID check lets it see a whole transfer land between its two
+// reads. The anchor audit yields between the pair reads to widen both
+// windows.
+func TestClusterCrossShardAuditAtomic(t *testing.T) {
+	cl, err := OpenCluster(ClusterOptions{Shards: 3, DB: Options{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const (
+		pairsPer     = 2
+		initial      = 1000
+		transferers  = 3
+		transfersPer = 300
+		auditors     = 3
+		minAudits    = 100
+	)
+	// Pairs span shards 1–2 (foreign to the shard-0 anchor) and 0–1.
+	var pairs [][2]string
+	for i := 0; i < pairsPer; i++ {
+		pairs = append(pairs,
+			[2]string{keyOnShard(cl, 1, fmt.Sprintf("audit-p%d", i)), keyOnShard(cl, 2, fmt.Sprintf("audit-q%d", i))},
+			[2]string{keyOnShard(cl, 0, fmt.Sprintf("audit-r%d", i)), keyOnShard(cl, 1, fmt.Sprintf("audit-s%d", i))})
+	}
+	anchor := keyOnShard(cl, 0, "audit-anchor")
+	for _, p := range pairs {
+		for _, k := range p {
+			if err := cl.Exec(func(tx Tx) error { return tx.PutInt(k, initial) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var (
+		wg        sync.WaitGroup
+		done      atomic.Bool
+		audits    atomic.Int64
+		violation atomic.Pointer[string]
+	)
+	for g := 0; g < transferers; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(300 + seed))
+			for i := 0; i < transfersPer; i++ {
+				p := pairs[rng.Intn(len(pairs))]
+				from, to := p[0], p[1]
+				if rng.Intn(2) == 0 {
+					from, to = to, from
+				}
+				amt := int64(rng.Intn(5) + 1)
+				if err := cl.Exec(func(tx Tx) error {
+					x, err := tx.GetInt(from)
+					if err != nil {
+						return err
+					}
+					y, err := tx.GetInt(to)
+					if err != nil {
+						return err
+					}
+					if err := tx.PutInt(from, x-amt); err != nil {
+						return err
+					}
+					return tx.PutInt(to, y+amt)
+				}); err != nil {
+					t.Errorf("transfer: %v", err)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	var auditWG sync.WaitGroup
+	for g := 0; g < auditors; g++ {
+		auditWG.Add(1)
+		go func(seed int64) {
+			defer auditWG.Done()
+			rng := rand.New(rand.NewSource(400 + seed))
+			// At least minAudits each, so audits run with no transfer in
+			// flight too even when the scheduler starves them.
+			for i := 0; i < minAudits || !done.Load(); i++ {
+				p := pairs[rng.Intn(len(pairs))]
+				anchored := rng.Intn(2) == 0
+				var sum int64
+				fn := func(tx Tx) error {
+					if anchored {
+						if _, err := tx.GetInt(anchor); err != nil {
+							return err
+						}
+					}
+					x, err := tx.GetInt(p[0])
+					if err != nil {
+						return err
+					}
+					if anchored {
+						runtime.Gosched()
+					}
+					y, err := tx.GetInt(p[1])
+					sum = x + y
+					return err
+				}
+				var err error
+				if i%2 == 0 {
+					err = cl.Exec(fn)
+				} else {
+					ch := make(chan error, 1)
+					cl.ExecAsync(fn, func(err error) { ch <- err })
+					err = <-ch
+				}
+				if err != nil {
+					t.Errorf("audit: %v", err)
+					return
+				}
+				audits.Add(1)
+				if sum != 2*initial {
+					msg := fmt.Sprintf("audit of %v (anchored %v) read sum %d, want %d", p, anchored, sum, 2*initial)
+					violation.CompareAndSwap(nil, &msg)
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	done.Store(true)
+	auditWG.Wait()
+
+	if msg := violation.Load(); msg != nil {
+		t.Error(*msg)
+	}
+	stats := cl.Stats()
+	t.Logf("%d audits; router %+v", audits.Load(), stats.Router)
+	if stats.Router.CrossShardReadOnly == 0 {
+		t.Error("no audit committed with in-place foreign reads")
+	}
+	if stats.Router.CrossShard == 0 {
+		t.Error("no cross-shard transfers committed")
+	}
+	if n := stats.Router.CrossShardApplyLost; n != 0 {
+		t.Errorf("CrossShardApplyLost = %d, want 0", n)
 	}
 }
 

@@ -176,9 +176,9 @@ func main() {
 				split += len(s.SplitKeys)
 			}
 			return fmt.Sprintf(
-				"shards=%d committed=%d aborted=%d stashed=%d merge_failures=%d stash_dropped=%d split=%d single_shard=%d reroutes=%d cross_shard=%d cross_retries=%d cross_aborts=%d fenced_keys=%d fence_aborts=%d apply_lost=%d",
+				"shards=%d committed=%d aborted=%d stashed=%d merge_failures=%d stash_dropped=%d split=%d single_shard=%d reroutes=%d cross_shard=%d cross_read_only=%d cross_retries=%d cross_aborts=%d fenced_keys=%d fence_aborts=%d apply_lost=%d",
 				cl.Shards(), agg.Committed, agg.Aborted, agg.Stashed, agg.MergeFailures, agg.StashDropped, split,
-				cs.Router.SingleShard, cs.Router.Reroutes, cs.Router.CrossShard, cs.Router.CrossShardRetries, cs.Router.CrossShardAborts,
+				cs.Router.SingleShard, cs.Router.Reroutes, cs.Router.CrossShard, cs.Router.CrossShardReadOnly, cs.Router.CrossShardRetries, cs.Router.CrossShardAborts,
 				cs.Router.FencedKeys, agg.FenceAborts, cs.Router.CrossShardApplyLost)
 		}
 	} else {

@@ -18,6 +18,13 @@ type RouterStats struct {
 	// CrossShard counts transactions committed through the two-phase
 	// cross-shard protocol.
 	CrossShard atomic.Uint64
+	// CrossShardReadOnly counts read-only transactions that read other
+	// shards' keys in place and committed on their first key's shard,
+	// with no 2PC: every foreign read still held its TID, unlocked,
+	// unfenced and unsplit after the home commit. They are counted in
+	// neither SingleShard nor CrossShard. One whose foreign reads fail
+	// that check counts a Reroute and commits through 2PC instead.
+	CrossShardReadOnly atomic.Uint64
 	// CrossShardRetries counts 2PC rounds that failed prepare
 	// validation (a value read during gather had changed) and were
 	// retried from scratch.
@@ -42,6 +49,7 @@ type RouterSnapshot struct {
 	SingleShard         uint64
 	Reroutes            uint64
 	CrossShard          uint64
+	CrossShardReadOnly  uint64
 	CrossShardRetries   uint64
 	CrossShardAborts    uint64
 	CrossShardApplyLost uint64
@@ -54,6 +62,7 @@ func (r *RouterStats) Snapshot() RouterSnapshot {
 		SingleShard:         r.SingleShard.Load(),
 		Reroutes:            r.Reroutes.Load(),
 		CrossShard:          r.CrossShard.Load(),
+		CrossShardReadOnly:  r.CrossShardReadOnly.Load(),
 		CrossShardRetries:   r.CrossShardRetries.Load(),
 		CrossShardAborts:    r.CrossShardAborts.Load(),
 		CrossShardApplyLost: r.CrossShardApplyLost.Load(),

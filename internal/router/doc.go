@@ -15,8 +15,24 @@
 // key range as it executes. A transaction that stays on its shard
 // commits on the embedded fast path — the check is one hash compare per
 // operation, and the routing state is pooled, so the steady-state path
-// adds no allocation. A transaction that touches a foreign key aborts
-// that attempt (before any effect) and re-executes on the cross-shard
+// adds no allocation.
+//
+// A read of a foreign key stays in place as long as the attempt has
+// written nothing: the router reads the owning shard's record directly
+// (store.Record.ReadConsistent, creating the record if absent so a
+// missing key still has a TID), requires it unfenced and not split data
+// (Shard.SplitActive), and keeps (record, TID) in the pooled frame. The
+// attempt then commits on its home shard as a read-only transaction,
+// and the router re-checks every foreign read: fence clear, key not
+// split, record unlocked, TID unchanged. If all hold, the transaction
+// is done with no shard transaction on the other shards
+// (RouterStats.CrossShardReadOnly); if any fails, it re-executes on the
+// cross-shard path (a Reroute).
+//
+// Everything else escalates: a foreign write, a write after a foreign
+// read, a foreign read after a write, and a foreign read that meets a
+// lock held past the read spin bound, a fence or split data. The
+// attempt aborts before any effect and re-executes on the cross-shard
 // path.
 //
 // # The cross-shard protocol
@@ -89,10 +105,32 @@
 //     fences clear, no apply had run) or wholly after the last apply
 //     (applies bump TIDs, so an in-between snapshot fails the TID
 //     check).
+//   - A read-only transaction with in-place foreign reads is
+//     serializable at its home commit's validation point V, the instant
+//     between the end of its body and the home shard's read validation.
+//     Its home reads hold at V by the shard's own OCC. Each foreign read
+//     holds at V too: it was taken before V and re-checked after the
+//     home commit, so after V, with the same TID; TIDs only grow, so the
+//     record did not change in between, and a record locked by a
+//     committer at V would show a new TID or a held lock at the
+//     re-check. Every value the body saw is therefore the record's
+//     value at V. That snapshot is consistent with every writer: a
+//     single-shard commit installs its writes while holding all their
+//     locks, and a cross-shard commit that is partly applied at V — some
+//     shards applied, others not — keeps every fence it took up until
+//     its last apply lands, so it is still fenced at the re-check (fence
+//     clear fails) or has applied everywhere by then (the TID check
+//     fails on any key it wrote after the read). Split data is the last
+//     hole: during a split phase a record lags its per-core slices, so
+//     the re-check also requires the key not split; a split phase that
+//     ended before the re-check reconciled its slices under a new TID.
+//     The fence and split checks run before the TID check, so an apply
+//     or a reconciliation that finishes while they run still changes
+//     the TID the last check reads.
 //   - Unfenced keys pay nothing: the fence check is one atomic load per
 //     record on paths that already load the record's TID word, and
-//     single-shard transactions still never take the router's commit
-//     locks.
+//     single-shard transactions — and read-only ones whose foreign reads
+//     validate — never take the router's commit locks.
 //   - Split-phase interaction: prepare treats a key that is currently
 //     split data as stale (its global record lags the per-core slices),
 //     and a fenced key never enters a split set — reconciliation merges

@@ -102,13 +102,17 @@ type Router struct {
 	// one uncontended atomic per commit and never recycles early.
 	fenceSeq atomic.Uint64
 
-	// NoFences disables commit-fence installation, reverting prepare to
-	// pure value validation — reopening the prepare→apply lost-update
-	// window. It exists so the conservation stress test can demonstrate
-	// the bug the fences close; never set it in production. It must be
-	// set before any traffic and not changed after.
-	NoFences bool
+	// noFences disables commit-fence installation; see
+	// SetNoFencesForTesting.
+	noFences bool
 }
+
+// SetNoFencesForTesting disables commit-fence installation, reverting
+// prepare to pure value validation — reopening the prepare→apply
+// lost-update window. It exists so the conservation stress test can
+// demonstrate the bug the fences close; production code never calls
+// it. Call it before any traffic.
+func (r *Router) SetNoFencesForTesting(off bool) { r.noFences = off }
 
 // New builds a router over shards. A nil part defaults to
 // HashPartitioner; a nil stats allocates a private sink.
@@ -154,20 +158,32 @@ func (r *Router) ExecContext(ctx context.Context, fn engine.TxFunc) error {
 		// pooled (or even read) safely. Abandon it to the GC.
 		return err
 	}
-	foreign := rc.check.foreign
+	crossed, foreign := rc.outcome(err)
 	rc.release()
 	switch {
 	case err == nil && !foreign:
-		r.stats.SingleShard.Add(1)
+		r.countCommit(crossed)
 		return nil
 	case errors.Is(err, errCrossShard) || foreign:
-		// foreign with err == nil happens when the attempt was stashed
-		// and the foreign access was discovered during the stash drain,
-		// whose replay errors the engine drops.
+		// foreign with err == nil happens when a foreign read failed
+		// validation after the home commit, or when the attempt was
+		// stashed and the foreign access was discovered during the stash
+		// drain, whose replay errors the engine drops.
 		r.stats.Reroutes.Add(1)
 		return r.execCross(ctx, fn)
 	default:
 		return err
+	}
+}
+
+// countCommit counts a transaction committed on its home shard: a
+// single-shard one, or a read-only one whose foreign reads (crossed)
+// validated after the home commit.
+func (r *Router) countCommit(crossed bool) {
+	if crossed {
+		r.stats.CrossShardReadOnly.Add(1)
+	} else {
+		r.stats.SingleShard.Add(1)
 	}
 }
 

@@ -340,7 +340,7 @@ func (r *Router) tryCommit(g *gatherTx) (committed bool, err error) {
 		}
 	}()
 	var tok uint64
-	if !r.NoFences {
+	if !r.noFences {
 		tok = r.fenceSeq.Add(1)
 		// Fences release on every exit — stale retry, infra error, and
 		// commit alike — before the shard locks do, so a failed round can

@@ -44,17 +44,19 @@ func newRoutedCall(r *Router) *routedCall {
 }
 
 // finishAsync is the shard completion callback of Router.ExecAsync: it
-// releases the frame and reports the outcome, re-executing a body that
-// turned out to span shards through the cross-shard protocol on a fresh
-// goroutine, so the shard worker that detected it is never captured.
+// releases the frame and reports the outcome. A body that turned out to
+// span shards, or whose in-place foreign reads no longer validate, is
+// re-executed through the cross-shard protocol on a fresh goroutine, so
+// the shard worker that detected it is never captured.
 //
 //doppel:hotpath
 func (rc *routedCall) finishAsync(err error) {
-	r, fn, done, foreign := rc.r, rc.fn, rc.done, rc.check.foreign
+	r, fn, done := rc.r, rc.fn, rc.done
+	crossed, foreign := rc.outcome(err)
 	rc.release()
 	switch {
 	case err == nil && !foreign:
-		r.stats.SingleShard.Add(1)
+		r.countCommit(crossed)
 		done(nil)
 	case errors.Is(err, errCrossShard) || foreign:
 		r.stats.Reroutes.Add(1)
@@ -62,6 +64,18 @@ func (rc *routedCall) finishAsync(err error) {
 	default:
 		done(err)
 	}
+}
+
+// outcome reads the finished attempt's routing result before the frame
+// is released: crossed reports that it read other shards' keys in
+// place, foreign that it must re-run through 2PC — because it vetoed
+// itself, or because it committed on its home shard (err == nil) but a
+// foreign read no longer validates.
+func (rc *routedCall) outcome(err error) (crossed, foreign bool) {
+	c := &rc.check
+	crossed = len(c.reads) > 0
+	foreign = c.foreign || (err == nil && crossed && !c.validate())
+	return crossed, foreign
 }
 
 // route binds fn to the frame and picks its candidate shard from the
@@ -136,139 +150,257 @@ func (p *probeTx) TopKInsert(key string, order int64, data []byte, k int) error 
 
 func (p *probeTx) WorkerID() int { return -1 }
 
-// checkTx wraps a shard's engine.Tx, vetoing any operation whose key
-// another shard owns. The veto sets foreign and starves the body with
-// errCrossShard; whether that error makes it back through the engine or
-// is swallowed by a stash drain, the router reads foreign afterwards.
+// readSpins bounds how long an in-place foreign read waits for a locked
+// record before giving up on the attempt (the shard engines use the
+// same bound for their own reads).
+const readSpins = 128
+
+// foreignRead is one in-place read of a key another shard owns: the
+// record and the TID the read observed. The router re-checks it with
+// unchanged once the home shard has committed the attempt.
+type foreignRead struct {
+	shard int
+	key   string
+	rec   *store.Record
+	tid   uint64
+}
+
+// checkTx wraps a shard's engine.Tx. Operations on the attempt's own
+// shard pass through. A read of another shard's key is served in place
+// (readForeign) while the attempt has written nothing; any other
+// foreign access — a foreign write, a write after a foreign read, a
+// foreign read after a write, or a foreign read that cannot be taken
+// cleanly — sets foreign and starves the body with errCrossShard.
+// Whether that error makes it back through the engine or is swallowed
+// by a stash drain, the router reads foreign afterwards.
 type checkTx struct {
 	r       *Router
 	inner   engine.Tx
 	shard   int
 	foreign bool
+	wrote   bool
+	// reads is the attempt's in-place foreign read set, reused across
+	// attempts with the pooled frame.
+	reads []foreignRead
 }
 
 func (c *checkTx) reset(r *Router, inner engine.Tx, shard int) {
-	c.r, c.inner, c.shard, c.foreign = r, inner, shard, false
+	c.r, c.inner, c.shard, c.foreign, c.wrote = r, inner, shard, false, false
+	c.reads = c.reads[:0]
 }
 
-func (c *checkTx) ok(key string) bool {
+// write reports whether a write of key may go to the home shard.
+func (c *checkTx) write(key string) bool {
 	if c.foreign {
 		return false
 	}
-	if c.r.ShardOf(key) != c.shard {
+	if len(c.reads) > 0 || c.r.ShardOf(key) != c.shard {
 		c.foreign = true
 		return false
+	}
+	c.wrote = true
+	return true
+}
+
+// read routes a read of key: home=true sends it to the home shard's
+// transaction; otherwise v is the value read in place, or err vetoes
+// the attempt.
+func (c *checkTx) read(key string) (v *store.Value, home bool, err error) {
+	if c.foreign {
+		return nil, false, errCrossShard
+	}
+	shard := c.r.ShardOf(key)
+	if shard == c.shard {
+		return nil, true, nil
+	}
+	if !c.wrote {
+		if v, ok := c.readForeign(shard, key); ok {
+			return v, false, nil
+		}
+	}
+	c.foreign = true
+	return nil, false, errCrossShard
+}
+
+// readForeign reads key on its owning shard without a shard
+// transaction: a Silo consistent read of the record (created if
+// absent, so a missing key still has a TID to validate), checked at
+// once with the same unchanged test the router repeats after the home
+// commit. A record that stays locked, carries a commit fence or is
+// split data fails the read, and the attempt goes through 2PC instead.
+func (c *checkTx) readForeign(shard int, key string) (*store.Value, bool) {
+	rec, _ := c.r.shards[shard].Store().GetOrCreate(key)
+	v, tid, ok := rec.ReadConsistent(readSpins)
+	if !ok {
+		return nil, false
+	}
+	rd := foreignRead{shard: shard, key: key, rec: rec, tid: tid}
+	if !c.r.unchanged(&rd) {
+		return nil, false
+	}
+	c.reads = append(c.reads, rd)
+	return v, true
+}
+
+// validate reports whether every in-place foreign read still holds. It
+// runs after the home shard committed the attempt; see doc.go for why a
+// read set that passes is serializable at the home commit.
+func (c *checkTx) validate() bool {
+	for i := range c.reads {
+		if !c.r.unchanged(&c.reads[i]) {
+			return false
+		}
 	}
 	return true
 }
 
-func (c *checkTx) Get(key string) (*store.Value, error) {
-	if !c.ok(key) {
-		return nil, errCrossShard
+// unchanged reports whether rd's record still holds the value the read
+// observed, with no cross-shard commit in progress on it and no split
+// phase hiding writes from it. The order of the checks matters: the
+// fence and split checks come first, so the TID check after them also
+// catches an apply or a reconciliation that finished between the read
+// and those checks.
+func (r *Router) unchanged(rd *foreignRead) bool {
+	if rd.rec.FenceToken() != 0 || r.shards[rd.shard].SplitActive(rd.key) {
+		return false
 	}
-	return c.inner.Get(key)
+	tid, locked := rd.rec.TIDWord()
+	return !locked && tid == rd.tid
+}
+
+func (c *checkTx) Get(key string) (*store.Value, error) {
+	v, home, err := c.read(key)
+	if home {
+		return c.inner.Get(key)
+	}
+	return v, err
 }
 
 func (c *checkTx) GetForUpdate(key string) (*store.Value, error) {
-	if !c.ok(key) {
-		return nil, errCrossShard
+	v, home, err := c.read(key)
+	if home {
+		return c.inner.GetForUpdate(key)
 	}
-	return c.inner.GetForUpdate(key)
+	return v, err
 }
 
 func (c *checkTx) GetInt(key string) (int64, error) {
-	if !c.ok(key) {
-		return 0, errCrossShard
+	v, home, err := c.read(key)
+	if home {
+		return c.inner.GetInt(key)
 	}
-	return c.inner.GetInt(key)
+	if err != nil {
+		return 0, err
+	}
+	return v.AsInt()
 }
 
 func (c *checkTx) GetIntForUpdate(key string) (int64, error) {
-	if !c.ok(key) {
-		return 0, errCrossShard
+	v, home, err := c.read(key)
+	if home {
+		return c.inner.GetIntForUpdate(key)
 	}
-	return c.inner.GetIntForUpdate(key)
+	if err != nil {
+		return 0, err
+	}
+	return v.AsInt()
 }
 
 func (c *checkTx) GetBytes(key string) ([]byte, error) {
-	if !c.ok(key) {
-		return nil, errCrossShard
+	v, home, err := c.read(key)
+	if home {
+		return c.inner.GetBytes(key)
 	}
-	return c.inner.GetBytes(key)
+	if err != nil {
+		return nil, err
+	}
+	return v.AsBytes()
 }
 
 func (c *checkTx) GetTuple(key string) (store.Tuple, bool, error) {
-	if !c.ok(key) {
-		return store.Tuple{}, false, errCrossShard
+	v, home, err := c.read(key)
+	if home {
+		return c.inner.GetTuple(key)
 	}
-	return c.inner.GetTuple(key)
+	if err != nil {
+		return store.Tuple{}, false, err
+	}
+	return v.AsTuple()
 }
 
 func (c *checkTx) GetTopK(key string) ([]store.TopKEntry, error) {
-	if !c.ok(key) {
-		return nil, errCrossShard
+	v, home, err := c.read(key)
+	if home {
+		return c.inner.GetTopK(key)
 	}
-	return c.inner.GetTopK(key)
+	if err != nil {
+		return nil, err
+	}
+	t, err := v.AsTopK()
+	if err != nil {
+		return nil, err
+	}
+	return t.Entries(), nil
 }
 
 func (c *checkTx) Put(key string, v *store.Value) error {
-	if !c.ok(key) {
+	if !c.write(key) {
 		return errCrossShard
 	}
 	return c.inner.Put(key, v)
 }
 
 func (c *checkTx) PutInt(key string, n int64) error {
-	if !c.ok(key) {
+	if !c.write(key) {
 		return errCrossShard
 	}
 	return c.inner.PutInt(key, n)
 }
 
 func (c *checkTx) PutBytes(key string, b []byte) error {
-	if !c.ok(key) {
+	if !c.write(key) {
 		return errCrossShard
 	}
 	return c.inner.PutBytes(key, b)
 }
 
 func (c *checkTx) Add(key string, n int64) error {
-	if !c.ok(key) {
+	if !c.write(key) {
 		return errCrossShard
 	}
 	return c.inner.Add(key, n)
 }
 
 func (c *checkTx) Max(key string, n int64) error {
-	if !c.ok(key) {
+	if !c.write(key) {
 		return errCrossShard
 	}
 	return c.inner.Max(key, n)
 }
 
 func (c *checkTx) Min(key string, n int64) error {
-	if !c.ok(key) {
+	if !c.write(key) {
 		return errCrossShard
 	}
 	return c.inner.Min(key, n)
 }
 
 func (c *checkTx) Mult(key string, n int64) error {
-	if !c.ok(key) {
+	if !c.write(key) {
 		return errCrossShard
 	}
 	return c.inner.Mult(key, n)
 }
 
 func (c *checkTx) OPut(key string, order store.Order, data []byte) error {
-	if !c.ok(key) {
+	if !c.write(key) {
 		return errCrossShard
 	}
 	return c.inner.OPut(key, order, data)
 }
 
 func (c *checkTx) TopKInsert(key string, order int64, data []byte, k int) error {
-	if !c.ok(key) {
+	if !c.write(key) {
 		return errCrossShard
 	}
 	return c.inner.TopKInsert(key, order, data, k)
