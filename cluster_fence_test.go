@@ -621,3 +621,102 @@ func TestClusterFenceParkedRequestRetriedOnUnfence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClusterCloseWithFenceParkedRequest: Close while a single-shard
+// request is parked on a cross-shard commit's fence. Close must wait for
+// the fence's release and complete the parked request exactly once,
+// whichever shard it closes first.
+func TestClusterCloseWithFenceParkedRequest(t *testing.T) {
+	cl, err := OpenCluster(ClusterOptions{Shards: 2, DB: Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := "park-a"
+	sa := cl.ShardOf(a)
+	b := ""
+	for i := 0; b == ""; i++ {
+		if k := fmt.Sprintf("park-b-%d", i); cl.ShardOf(k) != sa {
+			b = k
+		}
+	}
+	sb := cl.ShardOf(b)
+
+	// As in TestClusterFenceParkedRequestRetriedOnUnfence: the
+	// cross-shard commit fences a and b, then waits for its apply behind
+	// a gated transaction on sb's only worker.
+	gate := make(chan struct{})
+	var hold sync.Once
+	cross := make(chan error, 1)
+	go func() {
+		cross <- cl.Exec(func(tx Tx) error {
+			if err := tx.Add(a, 1); err != nil {
+				return err
+			}
+			if err := tx.Add(b, 1); err != nil {
+				return err
+			}
+			hold.Do(func() {
+				cl.DB(sb).ExecAsync(func(Tx) error { <-gate; return nil }, func(error) {})
+			})
+			return nil
+		})
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if rec := cl.DB(sa).Internal().Store().Get(a); rec != nil && rec.FenceToken() != 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the cross-shard commit never fenced its keys")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var fenced, completions atomic.Int32
+	single := make(chan error, 1)
+	cl.ExecAsync(func(tx Tx) error {
+		err := tx.Add(a, 10)
+		if errors.Is(err, engine.ErrFenced) {
+			fenced.Add(1)
+		}
+		return err
+	}, func(err error) {
+		completions.Add(1)
+		single <- err
+	})
+	for fenced.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the single-shard Add never met the fence")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+
+	closed := make(chan struct{})
+	go func() {
+		cl.Close()
+		close(closed)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	close(gate)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the fence was released")
+	}
+	select {
+	case err := <-single:
+		if err != nil {
+			t.Fatalf("the parked Add completed with %v, want nil", err)
+		}
+	default:
+		t.Fatal("Close returned before the parked Add's callback fired")
+	}
+	if err := <-cross; err != nil {
+		t.Logf("cross-shard commit: %v", err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if n := completions.Load(); n != 1 {
+		t.Fatalf("the parked Add completed %d times, want once", n)
+	}
+}

@@ -398,6 +398,47 @@ func TestClusterClosedSentinel(t *testing.T) {
 	}
 }
 
+// TestClusterStashedExecReturnsReplayError: a single-shard body that
+// stashes on its shard reports its replay's outcome through
+// Cluster.Exec. A body that reads the split key and then fails must
+// return its own error, not be counted and acknowledged as a commit.
+func TestClusterStashedExecReturnsReplayError(t *testing.T) {
+	cl, err := OpenCluster(ClusterOptions{
+		Shards: 2,
+		DB:     Options{Workers: 2, PhaseLength: 200 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SplitHint("hot", OpAdd)
+	shard := cl.ShardOf("hot")
+	boom := errors.New("boom")
+	readThenFail := func(tx Tx) error {
+		if _, err := tx.GetInt("hot"); err != nil {
+			return err
+		}
+		return boom
+	}
+	var adds uint64
+	deadline := time.Now().Add(10 * time.Second)
+	for cl.Stats().Shards[shard].Stashed == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no read of the hinted key ever stashed")
+		}
+		if err := cl.Exec(func(tx Tx) error { return tx.Add("hot", 1) }); err != nil {
+			t.Fatal(err)
+		}
+		adds++
+		if err := cl.Exec(readThenFail); !errors.Is(err, boom) {
+			t.Fatalf("Exec returned %v, want the body's error", err)
+		}
+	}
+	if n := cl.Stats().Router.SingleShard; n != adds {
+		t.Fatalf("router counted %d single-shard commits, want the %d Adds", n, adds)
+	}
+}
+
 // TestClusterExecContextCancel parks the owning shard's only worker and
 // cancels a queued cluster transaction: the router must surface the
 // context error and abandon (not corrupt) its pooled call frame.

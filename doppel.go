@@ -91,10 +91,11 @@ type Stats struct {
 	// its previous value and TID. Non-zero means the application mixed
 	// incompatible operations on a split key.
 	MergeFailures uint64
-	// StashDropped counts stashed transactions the drain abandoned after
-	// its replay cap (over a million consecutive conflict aborts — a
-	// pathological livelock). Non-zero means an accepted transaction was
-	// never executed; each worker also logs the first drop it makes.
+	// StashDropped counts stashed or fence-parked transactions a worker
+	// abandoned after its replay cap (over a million consecutive conflict
+	// aborts — a pathological livelock). Each such transaction never
+	// executed, and its caller got an error; each worker also logs the
+	// first drop it makes.
 	StashDropped uint64
 	// FenceAborts counts attempts that yielded to a cross-shard commit
 	// fence: the transaction touched a key an in-flight cross-shard
@@ -143,21 +144,16 @@ type RecoveryStats struct {
 // DB is a Doppel database with its own worker goroutines. All methods
 // are safe for concurrent use.
 type DB struct {
-	eng         *core.DB
-	redo        *wal.Logger
-	redoDir     string
-	ckpt        *checkpoint.Checkpointer
-	walFailStop bool
-	syncCommit  bool
-	recovery    RecoveryStats
-	queues      []chan *request
-	wg          sync.WaitGroup
-	stopped     atomic.Bool
-	next        atomic.Uint64
-	// draining counts workers still finishing their parked and stashed
-	// requests after Close; the last one closes drained.
-	draining atomic.Int32
-	drained  chan struct{}
+	eng      *core.DB
+	redo     *wal.Logger
+	redoDir  string
+	ckpt     *checkpoint.Checkpointer
+	recovery RecoveryStats
+	queues   []chan *request
+	wg       sync.WaitGroup
+	stopped  atomic.Bool
+	next     atomic.Uint64
+	sendMu   sync.RWMutex // read-held across each queue send; see enqueue
 
 	scrubStop chan struct{}
 	scrubWG   sync.WaitGroup
@@ -179,10 +175,11 @@ type request struct {
 // request while a worker may still hold it.
 var asyncRequests = sync.Pool{New: func() any { return new(request) }}
 
-// finish reports the request's outcome through whichever completion
-// mechanism the submitter chose. It is the worker's last use of req: an
-// ExecAsync request goes back to the pool before its callback runs.
-func (req *request) finish(err error) {
+// Complete implements core.Completion: it reports the request's outcome
+// through whichever completion mechanism the submitter chose. It is the
+// last use of req: an ExecAsync request goes back to the pool before its
+// callback runs.
+func (req *request) Complete(err error) {
 	if cb := req.cb; cb != nil {
 		*req = request{}
 		asyncRequests.Put(req)
@@ -267,17 +264,12 @@ func openInto(opts Options, st *store.Store) (*DB, error) {
 			return nil, err
 		}
 		cfg.Redo = redo
-		cfg.WALFailStop = opts.WALFailStop
 	}
 	db := &DB{
-		eng:         core.Open(st, cfg),
-		redo:        redo,
-		walFailStop: cfg.WALFailStop,
-		syncCommit:  opts.SyncCommit && redo != nil,
-		queues:      make([]chan *request, workers),
-		drained:     make(chan struct{}),
+		eng:    core.Open(st, cfg),
+		redo:   redo,
+		queues: make([]chan *request, workers),
 	}
-	db.draining.Store(int32(workers))
 	if redo != nil {
 		db.redoDir = opts.RedoLog
 		db.ckpt = checkpoint.New(db.eng, redo, checkpoint.Options{Every: opts.CheckpointEvery})
@@ -299,221 +291,60 @@ func openInto(opts Options, st *store.Store) (*DB, error) {
 // request arriving in its queue, and a token in the engine's wake
 // channel for it (core.DB.Wake), which the engine leaves after every
 // phase-transition publish and completion and the cluster router leaves
-// after releasing commit fences. A wake makes the worker Poll —
-// acknowledging a transition, reconciling its slices, draining its
-// stash — and retry the requests it holds back. No timer drives it.
-//
-// It holds back two kinds of request. One that aborted on a cross-shard
-// commit fence is parked at once rather than retried in place: the
-// fence releases only after the owning cross-shard commit's apply
-// transactions run, and one of those may be waiting in this worker's
-// own queue, so blocking on the fence would deadlock the shard. One
-// whose transaction was stashed is acknowledged once the worker's stash
-// has drained.
+// after releasing commit fences. A wake makes the worker Poll, which
+// acknowledges a transition, reconciles its slices, replays its stash
+// and retries its fence-parked requests. No timer drives it. Requests
+// the engine holds (stashed, fence-parked, awaiting durability) are
+// completed by the engine; the worker goes straight back to its queue.
 func (db *DB) worker(w int) {
 	defer db.wg.Done()
-	l := &workerLoop{db: db, w: w, wake: db.eng.Wake(w)}
+	wake := db.eng.Wake(w)
 	q := db.queues[w]
 	for {
 		select {
 		case req, ok := <-q:
 			if !ok {
-				l.finishParked()
+				// Close stopped phase publication before closing the
+				// queues: acknowledge a transition in flight so no other
+				// worker waits on this one, and leave what this worker
+				// holds to core.DB.Close.
+				db.eng.Poll(w)
 				return
 			}
-			l.handle(req)
-		case <-l.wake:
-			l.woke = true
+			db.run(w, req)
+		case <-wake:
 			db.eng.Poll(w)
 		}
-		l.settle()
 	}
 }
 
-// workerLoop is the state of one worker goroutine.
-type workerLoop struct {
-	db      *DB
-	w       int
-	wake    <-chan struct{}
-	woke    bool       // a wake was taken since parked requests were last retried
-	parked  []*request // aborted on a commit fence; retried after a wake
-	stashed []*request // in the engine's stash; acknowledged once it drains
-}
-
-// await blocks until the worker's next wake. Whoever waits, the parked
-// requests must be retried afterwards: the wake may have been the fence
-// release they wait for.
-func (l *workerLoop) await() {
-	<-l.wake
-	l.woke = true
-}
-
-// handle runs req and holds it back if it parked or stashed.
-func (l *workerLoop) handle(req *request) {
-	switch l.run(req) {
-	case runParked:
-		l.parked = append(l.parked, req)
-	case runStashed:
-		l.stashed = append(l.stashed, req)
-	}
-}
-
-// settle retries the parked requests if a wake was taken since they
-// last ran, and acknowledges the stashed requests once the stash has
-// drained (the joined phase arrived and no fence re-stashed them).
-func (l *workerLoop) settle() {
-	for l.woke {
-		l.woke = false
-		parked := l.parked
-		l.parked = nil
-		for _, req := range parked {
-			l.handle(req)
-		}
-	}
-	if len(l.stashed) > 0 && l.db.eng.StashLen(l.w) == 0 {
-		stashed := l.stashed
-		l.stashed = nil
-		for _, req := range stashed {
-			l.finishStashed(req)
-		}
-	}
-}
-
-// finishParked runs once the worker's queue is closed. It finishes the
-// worker's parked and stashed requests, then keeps acknowledging phase
-// transitions until every other worker has finished too: a stashed
-// transaction replays only in a joined phase, and the transition to it
-// needs every worker's acknowledgement. Fences release as cross-shard
-// applies drain on the other workers' queues, or through the router's
-// failure-path cleanup.
-func (l *workerLoop) finishParked() {
-	db := l.db
-	for {
-		l.settle()
-		if len(l.parked) == 0 && len(l.stashed) == 0 {
-			break
-		}
-		if len(l.stashed) > 0 && db.eng.Phase() == core.PhaseSplit {
-			db.eng.RequestJoinedPhase()
-		}
-		l.await()
-		db.eng.Poll(l.w)
-	}
-	if db.draining.Add(-1) == 0 {
-		close(db.drained)
-	}
-	for {
-		select {
-		case <-db.drained:
-			return
-		case <-l.wake:
-			db.eng.Poll(l.w)
-		}
-	}
-}
-
-// finishStashed acknowledges a request whose transaction went through
-// the worker's stash, after the stash has drained.
-func (l *workerLoop) finishStashed(req *request) {
-	db := l.db
-	// Fail-stop: if the redo logger died, the drain may have refused
-	// (and dropped) this stashed transaction instead of executing it —
-	// acknowledging success here would violate the fail-stop contract.
-	// Report the logger failure; a transaction that in fact replayed
-	// just before the death gets a conservative error for a commit whose
-	// durability is unknown anyway.
-	if db.walFailStop {
-		if err := db.redo.Err(); err != nil {
-			req.finish(fmt.Errorf("doppel: redo log failed, stashed transaction dropped: %w", err))
-			return
-		}
-	}
-	// The stashed transaction replayed during the drain, so the worker's
-	// newest redo LSN covers it (or an earlier record — waiting on that
-	// is merely conservative).
-	if db.syncCommit {
-		if err := l.waitDurableCommit(); err != nil {
-			req.finish(err)
-			return
-		}
-	}
-	req.finish(nil)
-}
-
-// runResult says what the worker loop must do with a request after one
-// run call.
-type runResult int
-
-const (
-	// runDone: the request finished (committed, aborted with the user's
-	// error, or was cancelled); nothing further to do.
-	runDone runResult = iota
-	// runParked: the request aborted on a commit fence — retry it after
-	// the next wake without blocking the worker.
-	runParked
-	// runStashed: the transaction was stashed for the next joined phase;
-	// finish the request (finishStashed) once this worker's stash
-	// drains. The worker MUST keep servicing its queue meanwhile: the
-	// stash can be pinned by a commit fence whose owning cross-shard
-	// apply is queued behind this very request, so blocking here until
-	// the stash drains deadlocks the shard.
-	runStashed
-)
-
-// run executes one request until it completes, parks, or stashes; see
-// runResult for what each outcome requires of the caller.
-func (l *workerLoop) run(req *request) runResult {
-	db := l.db
+// run submits req to the engine until the engine owns it: it retries a
+// Paused attempt after the worker's next wake (the last acknowledger of
+// the transition leaves it) and a conflict abort after a backoff.
+func (db *DB) run(w int, req *request) {
 	// A request cancelled while it waited in the queue never executes
 	// (the ExecContext contract); the caller has already returned, so
 	// the completion send lands in the buffered done channel unread.
 	if req.ctx != nil {
 		select {
 		case <-req.ctx.Done():
-			req.finish(req.ctx.Err())
-			return runDone
+			req.Complete(req.ctx.Err())
+			return
 		default:
 		}
 	}
 	var bo backoff
 	for {
-		out, err := db.eng.Attempt(l.w, req.fn, req.submit)
-		switch out {
-		case engine.Committed:
-			if db.syncCommit {
-				if err := l.waitDurableCommit(); err != nil {
-					req.finish(err)
-					return runDone
-				}
-			}
-			req.finish(nil)
-			return runDone
-		case engine.Stashed:
-			// The transaction accessed split data incompatibly and was
-			// stashed; it will re-execute during the next joined phase.
-			// The caller's acknowledgement waits until this worker's
-			// stash drains — that wait, about one stash budget
-			// (core.Config.StashBudget), is the read-latency cost the
-			// paper's Table 3 and Figure 13 measure — but the worker
-			// itself must not: it keeps
-			// executing its queue (the paper's point of the split phase)
-			// and finishes this request from the loop once the stash is
-			// empty.
-			return runStashed
-		case engine.UserAbort:
-			req.finish(err)
-			return runDone
+		switch db.eng.Run(w, req.fn, req.submit, req) {
 		case engine.Paused:
-			// This worker acknowledged a transition the others have not
-			// yet; the last acknowledger's completion wakes it.
-			l.await()
-		case engine.AbortedFenced:
-			// Yielding to a cross-shard commit fence, whose owning apply
-			// transaction may be queued behind this request on this very
-			// worker. The router's release of the fence wakes the worker.
-			return runParked
+			// The wake may be meant for Poll's other work too (a fence
+			// release), so Poll before running again.
+			<-db.eng.Wake(w)
+			db.eng.Poll(w)
 		case engine.Aborted:
 			bo.wait()
+		default:
+			return
 		}
 	}
 }
@@ -545,34 +376,12 @@ func (b *backoff) wait() {
 	time.Sleep(d)
 }
 
-// waitDurableCommit holds a SyncCommit acknowledgement until the
-// transaction's redo record is written and fsynced. A commit that
-// buffered split (slice) writes has no redo record yet — slice writes
-// are logged when reconciliation merges them at the next phase
-// transition — so first wait for the transition's wake and Poll, which
-// reconciles this worker's slices (bounded by the coordinator's phase
-// clock, like the stash wait), then wait on the group-commit watermark;
-// the wait makes the log sync at once instead of at its cadence.
-// Concurrent commits share each fsync; a terminal logger failure
-// surfaces here instead of acknowledging a commit that can never be
-// durable.
-func (l *workerLoop) waitDurableCommit() error {
-	db := l.db
-	for db.eng.SliceRedoPending(l.w) {
-		l.await()
-		db.eng.Poll(l.w)
-	}
-	if err := db.redo.WaitDurable(db.eng.RedoLSN(l.w)); err != nil {
-		return fmt.Errorf("doppel: commit not durable: %w", err)
-	}
-	return nil
-}
-
 // Exec runs fn as a serializable transaction and returns once it has
-// committed (or has been durably accepted for commit in the next joined
-// phase, when the transaction was stashed). A non-nil return is fn's own
-// error; conflicts are retried internally. Exec is exactly
-// ExecContext(context.Background(), fn).
+// finished: committed (acknowledged from memory unless
+// Options.SyncCommit), or failed with fn's own error. A transaction
+// stashed in a split phase returns after its replay in the next joined
+// phase, with the replay's outcome. Conflicts are retried internally.
+// Exec is exactly ExecContext(context.Background(), fn).
 func (db *DB) Exec(fn TxFunc) error {
 	return db.ExecContext(context.Background(), fn)
 }
@@ -587,22 +396,15 @@ func (db *DB) Exec(fn TxFunc) error {
 // ExecContext return ctx's error even though the transaction may still
 // commit. Use Exec when that ambiguity is unacceptable.
 func (db *DB) ExecContext(ctx context.Context, fn TxFunc) error {
-	if db.stopped.Load() {
-		return ErrClosed
-	}
 	req := &request{fn: fn, submit: engine.Now(), done: make(chan error, 1)}
-	w := int(db.next.Add(1)) % len(db.queues)
-	if ctx.Done() == nil {
-		// Not cancellable (context.Background()): plain channel operations
-		// keep the hot path free of selectgo.
-		db.queues[w] <- req
-		return <-req.done
+	if ctx.Done() != nil {
+		req.ctx = ctx
 	}
-	req.ctx = ctx
-	select {
-	case db.queues[w] <- req:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := db.enqueue(req); err != nil {
+		return err
+	}
+	if req.ctx == nil {
+		return <-req.done
 	}
 	select {
 	case err := <-req.done:
@@ -615,34 +417,47 @@ func (db *DB) ExecContext(ctx context.Context, fn TxFunc) error {
 }
 
 // ExecAsync submits fn like Exec but returns without waiting: done is
-// called exactly once with the transaction's outcome, from the worker
-// goroutine that completed it. done must be quick and must not submit
-// further transactions synchronously, or it stalls that worker. This is
-// the batching path the network server uses to keep every worker busy
-// without one blocked goroutine per in-flight request; it allocates
-// nothing of its own in steady state.
+// called exactly once with the transaction's outcome, usually from the
+// worker goroutine that completed it, and from Close's goroutine for a
+// transaction that Close completes. done must be quick and must not
+// submit further transactions synchronously, or it stalls that worker.
+// This is the batching path the network server uses to keep every
+// worker busy without one blocked goroutine per in-flight request; it
+// allocates nothing of its own in steady state.
 //
 //doppel:hotpath
 func (db *DB) ExecAsync(fn TxFunc, done func(error)) {
-	if db.stopped.Load() {
-		done(ErrClosed)
-		return
-	}
 	req := asyncRequests.Get().(*request)
 	req.fn, req.submit, req.cb = fn, engine.Now(), done
-	w := int(db.next.Add(1)) % len(db.queues)
-	db.queues[w] <- req
+	if err := db.enqueue(req); err != nil {
+		req.Complete(err)
+	}
 }
 
-// ExecWait is Exec for callers that need the stashed-transaction commit
-// to have happened before return: it re-submits a no-op read after fn to
-// ensure a joined phase has passed. Reads of split data already behave
-// this way naturally.
-func (db *DB) ExecWait(fn TxFunc) error {
-	if err := db.Exec(fn); err != nil {
-		return err
+// enqueue hands req to the next worker's queue, or reports ErrClosed
+// once Close has begun; a cancellable request gives up with ctx's error
+// while the queue is full. The read lock is held across the send so
+// that Close cannot close the queue under it. The send blocks only
+// while the queue is full, and the workers that drain it never take
+// the lock.
+func (db *DB) enqueue(req *request) error {
+	if !db.sendMu.TryRLock() {
+		return ErrClosed
 	}
-	return db.Exec(func(tx Tx) error { return nil })
+	defer db.sendMu.RUnlock()
+	q := db.queues[int(db.next.Add(1))%len(db.queues)]
+	if req.ctx == nil {
+		// Not cancellable: a plain send keeps the hot path free of
+		// selectgo.
+		q <- req
+		return nil
+	}
+	select {
+	case q <- req:
+		return nil
+	case <-req.ctx.Done():
+		return req.ctx.Err()
+	}
 }
 
 // Checkpoint forces a checkpoint now: a consistent snapshot is written
@@ -783,8 +598,11 @@ func (db *DB) Stats() Stats {
 }
 
 // Close stops the workers, reconciles outstanding per-core slices and
-// commits any stashed transactions. The database must not be used after
-// Close.
+// completes every request the workers still hold: stashed and
+// fence-parked transactions are replayed (a parked one waits for its
+// fence's release), and their callbacks may run on Close's goroutine.
+// Submissions that race Close get ErrClosed. The database must not be
+// used after Close.
 func (db *DB) Close() {
 	if db.stopped.Swap(true) {
 		return
@@ -798,6 +616,10 @@ func (db *DB) Close() {
 	if db.ckpt != nil {
 		db.ckpt.Close()
 	}
+	// No transition may start once a worker has stopped: it could never
+	// complete, and workers paused on it would never stop.
+	db.eng.StopPhases()
+	db.sendMu.Lock()
 	for _, q := range db.queues {
 		close(q)
 	}

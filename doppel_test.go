@@ -1,6 +1,7 @@
 package doppel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -56,6 +57,79 @@ func TestExecAfterClose(t *testing.T) {
 	db.Close() // idempotent
 }
 
+// TestExecRacingClose: submitters looping ExecAsync and ExecContext
+// while Close runs must each get either their transaction's outcome or
+// ErrClosed, never a send on a closed queue, and every ExecAsync
+// callback must fire exactly once.
+func TestExecRacingClose(t *testing.T) {
+	noop := func(tx Tx) error { return nil }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for round := 0; round < 20; round++ {
+		db := Open(Options{Workers: 2})
+		var submitted, completed atomic.Int64
+		cb := func(err error) {
+			if err != nil && !errors.Is(err, ErrClosed) {
+				t.Errorf("ExecAsync completed with %v", err)
+			}
+			completed.Add(1)
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if g%2 == 0 {
+						submitted.Add(1)
+						db.ExecAsync(noop, cb)
+						continue
+					}
+					if err := db.ExecContext(ctx, noop); err != nil && !errors.Is(err, ErrClosed) {
+						t.Errorf("ExecContext returned %v", err)
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Millisecond)
+		db.Close()
+		stop.Store(true)
+		wg.Wait()
+		if s, c := submitted.Load(), completed.Load(); s != c {
+			t.Fatalf("round %d: %d ExecAsync calls, %d callbacks", round, s, c)
+		}
+	}
+}
+
+// TestStashedExecReturnsReplayError: a transaction stashed in a split
+// phase reports the outcome of its replay. A body that reads the split
+// key and then fails must return its own error, not nil.
+func TestStashedExecReturnsReplayError(t *testing.T) {
+	db := Open(Options{Workers: 2, PhaseLength: 200 * time.Millisecond})
+	defer db.Close()
+	db.SplitHint("hot", OpAdd)
+	boom := errors.New("boom")
+	readThenFail := func(tx Tx) error {
+		if _, err := tx.GetInt("hot"); err != nil {
+			return err
+		}
+		return boom
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Stats().Stashed == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no read of the hinted key ever stashed")
+		}
+		if err := db.Exec(func(tx Tx) error { return tx.Add("hot", 1) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Exec(readThenFail); !errors.Is(err, boom) {
+			t.Fatalf("Exec returned %v, want the body's error (stashed %d)", err, db.Stats().Stashed)
+		}
+	}
+}
+
 func TestConcurrentCounterWithHint(t *testing.T) {
 	db := Open(Options{Workers: 4, PhaseLength: 2 * time.Millisecond})
 	defer db.Close()
@@ -76,10 +150,10 @@ func TestConcurrentCounterWithHint(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Reads of split data stash and commit in the next joined phase;
-	// ExecWait guarantees the read observed a fully reconciled value.
+	// A read of split data stashes and replays in the next joined phase;
+	// Exec returns after the replay, so the read saw the reconciled value.
 	var final int64
-	err := db.ExecWait(func(tx Tx) error {
+	err := db.Exec(func(tx Tx) error {
 		n, err := tx.GetInt("ctr")
 		final = n
 		return err
@@ -124,7 +198,7 @@ func TestAutoSplitUnderRealContention(t *testing.T) {
 	// this machine; the invariant that must always hold is conservation:
 	// every accepted Add is reflected exactly once.
 	var total int64
-	if err := db.ExecWait(func(tx Tx) error {
+	if err := db.Exec(func(tx Tx) error {
 		n, err := tx.GetInt("hot")
 		total = n
 		return err

@@ -49,7 +49,7 @@ func TestRedoLogRecovery(t *testing.T) {
 	}
 	// Give stashes/reconciliation a chance to settle, then close (which
 	// forces the final reconciliation and flushes the log).
-	if err := db.ExecWait(func(tx Tx) error { return nil }); err != nil {
+	if err := db.Exec(func(tx Tx) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()

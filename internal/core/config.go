@@ -115,6 +115,13 @@ type Config struct {
 	// is visible solely through the logger's Err — acknowledged commits
 	// after the failure are then never durable.
 	WALFailStop bool
+
+	// SyncCommit, with Redo set, completes a request's commit only once
+	// the redo log covers it (see Run): after one wait on the log's
+	// group-commit watermark, and for a commit with slice writes after
+	// the reconcile that logs them. Attempt, which has no completion,
+	// ignores it.
+	SyncCommit bool
 }
 
 // DefaultConfig returns the paper's configuration for w workers: 20 ms
@@ -155,6 +162,9 @@ func (c Config) withDefaults() Config {
 		if c.Workers < 1 {
 			c.WorkerIDBase, c.Workers = MaxWorkers-1, 1
 		}
+	}
+	if c.Redo == nil {
+		c.SyncCommit = false
 	}
 	if c.StashBudget <= 0 {
 		c.StashBudget = d.StashBudget

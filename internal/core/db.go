@@ -81,18 +81,18 @@ type DB struct {
 	// stamp of the current split phase's first stash, 0 until one. dueNs
 	// is when the next step is due (math.MaxInt64 for never), which
 	// workers compare with the clock they read at every commit.
-	coordinated  bool          // a coordinator runs: PhaseLength > 0 at Open, until Close
+	coordinated  bool          // a coordinator runs: PhaseLength > 0 at Open
 	kick         chan struct{} // one slot; see kickCoordinator
 	firstStashNs atomic.Int64
 	dueNs        atomic.Int64
-	coordMu      sync.Mutex    // serializes steps; guards the three fields below
+	coordMu      sync.Mutex    // serializes steps; guards the four fields below
+	halted       bool          // StopPhases ran: no step proposes anything
 	extends      int           // extensions of the current split phase
 	extendsEpoch uint64        // the phase epoch extends counts for
 	splitRan     time.Duration // how long the last split phase ran; 0 when the joined phase followed none
 
 	stop    chan struct{}
 	coordWG sync.WaitGroup
-	closed  bool
 }
 
 // Open returns a running Doppel instance over st. If cfg.PhaseLength is
@@ -138,14 +138,31 @@ func (db *DB) Workers() int { return len(db.workers) }
 // WorkerStats implements engine.Engine.
 func (db *DB) WorkerStats(w int) *metrics.TxnStats { return db.workers[w].stats }
 
-// Attempt implements engine.Engine.
+// Attempt implements engine.Engine. It is Run without a completion: a
+// transaction that stashes is replayed in the next joined phase with
+// its outcome dropped, and a fence abort is returned to the caller.
 func (db *DB) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Outcome, error) {
-	return db.workers[w].attempt(fn, submitNanos)
+	return db.workers[w].attempt(fn, submitNanos, nil)
+}
+
+// Run executes fn once on worker w for a request whose outcome goes to
+// done, exactly once. Paused means fn did not run: a transition is in
+// flight, and the caller waits on Wake(w), Polls and calls Run again.
+// Aborted means a conflict: the caller retries. Any other outcome means
+// the engine owns the request. It has completed done, or it holds the
+// request and completes it later from Poll or Close: stashed until the
+// next joined phase, parked on a commit fence until a wake, or, under
+// Config.SyncCommit, committed but not yet durable. See doc.go's "Held
+// requests".
+func (db *DB) Run(w int, fn engine.TxFunc, submitNanos int64, done Completion) engine.Outcome {
+	out, _ := db.workers[w].attempt(fn, submitNanos, done)
+	return out
 }
 
 // Poll implements engine.Engine: the worker participates in any pending
-// phase transition and retries stashed transactions if a joined phase
-// has begun.
+// phase transition (replaying its stash on entering a joined phase),
+// retries its fence-parked requests and completes acknowledgements the
+// redo log now covers.
 func (db *DB) Poll(w int) { db.workers[w].poll() }
 
 // Wake returns worker w's wake channel. It holds at most one token; a
@@ -154,8 +171,7 @@ func (db *DB) Poll(w int) { db.workers[w].poll() }
 // RequestBarrier), a transition completed (completeTransition), and
 // commit fences released (WakeAll, called by the cluster router). A
 // driver with nothing to run blocks on its request source and this
-// channel, calls Poll when woken, and retries whatever it holds back.
-// See doc.go for the full contract.
+// channel, and calls Poll when woken. See doc.go for the full contract.
 func (db *DB) Wake(w int) <-chan struct{} { return db.workers[w].wake }
 
 // WakeAll leaves a wakeup for every worker. Callers outside the engine
@@ -207,28 +223,11 @@ func (db *DB) SplitKeys() []string {
 // PhaseChanges returns how many phase transitions have completed.
 func (db *DB) PhaseChanges() uint64 { return db.phaseChanges.Load() }
 
-// StashLen reports how many transactions worker w currently has stashed
-// awaiting the next joined phase. It must be called from the goroutine
-// that drives worker w.
-func (db *DB) StashLen(w int) int { return len(db.workers[w].stash) }
-
-// RedoLSN reports the log sequence number of worker w's newest redo
-// append — what a caller that wants commit-then-durable semantics must
-// WaitDurable on after Attempt returns Committed. It is the max-LSN
-// sentinel when the worker's last append was refused by a terminally
-// failed logger (waiting on it reports the terminal error), and 0 when
-// the worker has never logged. Like StashLen it must be called from
-// the goroutine that drives worker w.
-func (db *DB) RedoLSN(w int) uint64 { return db.workers[w].redoLSN }
-
-// SliceRedoPending reports whether worker w has committed split-phase
-// slice writes whose redo records have not been appended yet (they are
-// logged when the worker reconciles its slices at the next phase
-// transition). While it is true, RedoLSN does not cover the worker's
-// newest commit; durability-synchronous callers wait on the worker's
-// wake channel and Poll until it clears. Must be called from the
-// goroutine that drives worker w.
-func (db *DB) SliceRedoPending(w int) bool { return db.workers[w].slicedRedo }
+// StashLen reports how many transactions worker w holds for a later
+// run: stashed ones awaiting the next joined phase and fence-parked ones
+// awaiting a wake. It must be called from the goroutine that drives
+// worker w.
+func (db *DB) StashLen(w int) int { return len(db.workers[w].stash) + len(db.workers[w].parked) }
 
 // SplitHint manually labels key as split data for op ("this record should
 // be split for this operation", §5.5). It takes effect at the next
@@ -376,6 +375,9 @@ func (db *DB) checkDue(now int64) {
 func (db *DB) advance(now int64) time.Duration {
 	db.coordMu.Lock()
 	defer db.coordMu.Unlock()
+	if db.halted {
+		return 0
+	}
 	wait := db.step(now)
 	if wait <= 0 {
 		db.dueNs.Store(math.MaxInt64)
@@ -551,23 +553,32 @@ func (db *DB) RequestBarrier(fn func()) (busy <-chan struct{}) {
 	return nil
 }
 
-// Close stops the coordinator, completes any in-flight transition on
-// behalf of stopped workers, reconciles all outstanding per-core slices
-// into the global store, and retries stashed transactions so their
-// effects are not lost. After Close the store reflects every committed
-// transaction. Workers' driving goroutines must have stopped before
-// Close is called.
-func (db *DB) Close() {
-	if db.closed {
-		return
+// StopPhases stops phase publication: the coordinator exits, and no
+// later step, the coordinator's or a worker's at commit (checkDue),
+// proposes a transition. One already in flight still completes as the
+// workers acknowledge it. A driver calls it before it stops driving its
+// workers, so that no transition published after one worker stopped
+// can pause the others. Close calls it too.
+func (db *DB) StopPhases() {
+	db.coordMu.Lock()
+	halted := db.halted
+	db.halted = true
+	db.coordMu.Unlock()
+	if !halted {
+		close(db.stop)
+		db.coordWG.Wait()
 	}
-	db.closed = true
-	close(db.stop)
-	db.coordWG.Wait()
-	// Workers are stopped too, so quiesce's replays must not take a
-	// coordinator step.
-	db.coordinated = false
-	db.dueNs.Store(math.MaxInt64)
+}
+
+// Close stops phase publication, completes any in-flight transition on
+// behalf of the stopped workers, reconciles all outstanding per-core
+// slices into the global store, and completes every request the workers
+// hold, replaying stashed and parked ones. After Close the store
+// reflects every committed transaction. Workers' driving goroutines
+// must have stopped before Close is called; a completion may run on
+// Close's goroutine. A second Close finds nothing left to do.
+func (db *DB) Close() {
+	db.StopPhases()
 	db.quiesce()
 }
 
@@ -575,37 +586,35 @@ func (db *DB) Close() {
 func (db *DB) Stop() { db.Close() }
 
 // quiesce drives the database to a fully reconciled joined phase, acting
-// on behalf of the (stopped) workers.
+// on behalf of the (stopped) workers, and completes what they hold.
 func (db *DB) quiesce() {
-	// Complete an in-flight transition.
+	// Complete an in-flight transition, then reconcile a split phase
+	// back to joined.
 	if tr := db.inflight.Load(); tr != nil {
-		for _, w := range db.workers {
-			if w.ackedEpoch < tr.epoch {
-				w.transitionDuty(tr)
-				w.ackedEpoch = tr.epoch
-				if tr.acks.Add(1) == tr.total {
-					db.completeTransition(tr)
-				}
-			}
-		}
+		db.ackAll(tr)
 	}
-	// If we ended up in (or already were in) a split phase, reconcile
-	// everything back.
-	if db.Phase() == PhaseSplit {
-		if db.beginTransition(PhaseJoined, nil) {
-			tr := db.inflight.Load()
-			for _, w := range db.workers {
-				w.transitionDuty(tr)
-				w.ackedEpoch = tr.epoch
-				if tr.acks.Add(1) == tr.total {
-					db.completeTransition(tr)
-				}
-			}
-		}
+	if db.Phase() == PhaseSplit && db.beginTransition(PhaseJoined, nil) {
+		db.ackAll(db.inflight.Load())
 	}
-	// Joined phase now: drain every worker's stash.
+	// Joined phase now: replay every worker's stash, and retry its
+	// parked requests until no fence stands in their way. A fence is
+	// released by its cross-shard commit, whose router then wakes every
+	// worker of the shard.
 	for _, w := range db.workers {
-		w.drainStash()
+		w.replayAll(&w.stash)
+		for w.replayAll(&w.parked); len(w.parked) > 0; w.replayAll(&w.parked) {
+			<-w.wake
+		}
+		w.flushAcks()
+	}
+}
+
+// ackAll acknowledges tr on behalf of every worker that has not.
+func (db *DB) ackAll(tr *transition) {
+	for _, w := range db.workers {
+		if w.ackedEpoch < tr.epoch {
+			w.ack(tr)
+		}
 	}
 }
 

@@ -9,9 +9,9 @@
 // # The phase-transition protocol
 //
 // The engine is driven through the engine.Engine interface: worker w
-// must be driven from a single goroutine that calls Attempt, and Poll
-// whenever the worker's wake channel fires (or regularly), so the
-// worker can participate in phase transitions. The
+// must be driven from a single goroutine that calls Attempt (or Run),
+// and Poll whenever the worker's wake channel fires (or regularly), so
+// the worker can participate in phase transitions. The
 // coordinator goroutine only proposes transitions (publishing one
 // in-flight *transition at a time); workers notice it between
 // transactions, perform their pre-transition duty — reconciling their
@@ -56,22 +56,53 @@
 //     every worker must notice it and acknowledge;
 //   - completeTransition, after installing the new phase and releasing
 //     the transition: workers paused on it resume, and a worker entering
-//     a joined phase drains its stash;
+//     a joined phase replays its stash;
 //   - WakeAll, which the cluster router calls after releasing a shard's
-//     commit fences: requests that aborted on them, and stashed
-//     transactions a drain put back because of them, can now run.
+//     commit fences: requests parked on them can now run.
 //
 // Every state change is followed by a send, so no wakeup is lost: a
 // driver that checked the state and found nothing to do, then blocked
 // on the channel, either finds the token of the change that happened
 // since or receives it. One slot suffices because a token carries no
-// data — it only says "look again" — and a woken driver re-reads all
-// state (Poll, then retry whatever it held back), which covers every
-// change made before it looked; a send that finds the slot full is
-// covered by the token already there. A driver that blocks on the
-// channel while waiting for one thing (a paused Attempt waiting for a
-// transition to complete) must treat the token as a wake for all the
-// others too, since it may have consumed one meant for them.
+// data — it only says "look again" — and Poll re-reads all state,
+// which covers every change made before it looked; a send that finds
+// the slot full is covered by the token already there. A driver that
+// blocks on the channel while waiting for one thing (a paused Run
+// waiting for a transition to complete) must Poll after it too, since
+// it may have consumed a token meant for the parked requests.
+//
+// # Held requests
+//
+// A request submitted with Run carries a Completion, and the worker
+// completes it exactly once, with the request's real outcome. Three
+// kinds are held past the Run call, all on the worker itself:
+//
+//   - stashed (the stash): the transaction touched split data in a
+//     split phase. The worker replays it on entering the next joined
+//     phase, and completes it as its replay commits or fails.
+//   - parked: the transaction aborted on a cross-shard commit fence.
+//     Blocking on the fence could deadlock the shard, since its
+//     releasing apply may be queued behind the request, so the worker
+//     retries it from Poll after the next wake, in whatever phase is
+//     current; a retry in a split phase may stash it.
+//   - acknowledgements (Config.SyncCommit): a committed request is
+//     completed after one wait on the redo log's watermark, and one
+//     whose worker has slice writes still unlogged waits until the
+//     worker has reconciled them at the next transition.
+//
+// A replay that keeps failing on conflicts is dropped after maxReplays
+// runs and completed with an error (Stats.StashDropped). Attempt is the
+// same path with no completion: its stashed transactions replay with
+// their outcome dropped, and a fence abort returns to the caller.
+//
+// Closing needs no barrier across workers. The driver calls StopPhases
+// first, so no transition is published after a worker stops; each
+// worker then acknowledges any transition in flight (one Poll) and
+// stops. Close (quiesce) acknowledges for them, reconciles to a joined
+// phase, replays every stash, and retries parked requests, blocking on
+// the worker's wake channel while a fence stands: the router wakes
+// every worker of the shard when it releases fences. A completion may
+// therefore run on Close's goroutine.
 //
 // # Barriers and durability
 //
@@ -115,7 +146,8 @@
 // # Durability failure semantics
 //
 // Logging is asynchronous: commits acknowledge before their redo
-// records are durable. Workers encode each record into per-worker
+// records are durable, unless Config.SyncCommit holds the
+// acknowledgement (see Held requests). Workers encode each record into per-worker
 // scratch buffers (no allocation in steady state) and the logger's
 // LSN/watermark contract (wal.Logger.Durable) is how durability is
 // observed after the fact. When the logger fails terminally it refuses

@@ -126,3 +126,41 @@ func TestFenceTokenClearsBetweenTransactions(t *testing.T) {
 		t.Fatalf("token leaked across transactions: outcome %v err %v, want AbortedFenced", out, err)
 	}
 }
+
+// outcomes is a Completion that records every outcome it is given.
+type outcomes []error
+
+func (o *outcomes) Complete(err error) { *o = append(*o, err) }
+
+// TestFenceParkedRunRetriedByPoll: a request submitted with a
+// completion that aborts on a fence is held by the worker, not returned
+// to the caller. Poll retries it, and it completes exactly once, after
+// the fence is gone.
+func TestFenceParkedRunRetriedByPoll(t *testing.T) {
+	db, st := openFenceDB(t)
+	rec := st.Get("fenced")
+	if !rec.Fence(99) {
+		t.Fatal("Fence failed")
+	}
+	var done outcomes
+	add := func(tx engine.Tx) error { return tx.Add("fenced", 5) }
+	if out := db.Run(0, add, 0, &done); out != engine.AbortedFenced {
+		t.Fatalf("Run outcome %v, want AbortedFenced", out)
+	}
+	if len(done) != 0 || db.StashLen(0) != 1 {
+		t.Fatalf("after the fence abort: %d completions, %d held; want 0 and 1", len(done), db.StashLen(0))
+	}
+	db.Poll(0) // the fence still stands: parked again
+	if len(done) != 0 || db.StashLen(0) != 1 {
+		t.Fatalf("Poll under the fence: %d completions, %d held; want 0 and 1", len(done), db.StashLen(0))
+	}
+	rec.Unfence(99)
+	db.Poll(0)
+	db.Poll(0)
+	if len(done) != 1 || done[0] != nil || db.StashLen(0) != 0 {
+		t.Fatalf("after the unfence: completions %v, %d held; want one nil and 0", done, db.StashLen(0))
+	}
+	if n, _ := rec.Value().AsInt(); n != 15 {
+		t.Fatalf("fenced = %d, want 15", n)
+	}
+}

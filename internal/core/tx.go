@@ -508,8 +508,8 @@ func (t *Tx) applySliceWrites(swVals []slicePend) {
 		t.w.sliceWritesPhase.Add(uint64(len(t.sw)))
 		if t.w.db.cfg.Redo != nil {
 			// Slice writes are logged at reconciliation, not here; flag
-			// the gap for durability-synchronous callers (DB.RedoLSN's
-			// value does not cover this commit until reconcile runs).
+			// the gap for SyncCommit (the worker's redoLSN does not
+			// cover this commit until reconcile runs).
 			t.w.slicedRedo = true
 		}
 	}

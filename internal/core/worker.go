@@ -24,12 +24,26 @@ const workerIDMask = 0xff
 // opCounts is a per-key, per-operation conflict/stash counter.
 type opCounts [opKindCount]uint32
 
-// stashedTxn is a transaction saved during a split phase for re-execution
-// in the next joined phase (§5.2).
-type stashedTxn struct {
+// Completion receives a request's outcome; see Run. doppel's pooled
+// request implements it, so holding one allocates nothing. Complete is
+// called exactly once, with nil for a commit, and must not call back
+// into the engine.
+type Completion interface {
+	Complete(err error)
+}
+
+// held is a request a worker keeps for a later run: stashed for the
+// next joined phase (§5.2), or parked on a commit fence until a wake.
+// done is nil for a transaction submitted through Attempt.
+type held struct {
 	fn     engine.TxFunc
 	submit int64
+	done   Completion
 }
+
+// maxReplays bounds the consecutive conflict aborts of a held request's
+// replay; after that it is dropped (see replay).
+const maxReplays = 1 << 20
 
 // sliceState is one per-core slice: the accumulated value for one split
 // record on one worker (§4). val == nil is the operation's identity.
@@ -59,12 +73,12 @@ type Worker struct {
 	ackedEpoch      uint64 // highest transition epoch acknowledged
 	seenEpoch       uint64 // highest completed epoch whose entry work ran
 	slices          []sliceState
-	stash           []stashedTxn
-	stashSpare      []stashedTxn // the drained stash's backing array, reused by the next drain
+	stash           []held       // stashed in a split phase; replayed on entering a joined phase
+	parked          []held       // aborted on a commit fence; retried by Poll after a wake
+	acks            []Completion // committed under SyncCommit; completed once the redo log covers them
 	tx              Tx
 	sampleTick      int
 	stashTick       int
-	maxStashLen     int
 	loggedMergeFail bool // first reconcile merge failure already logged
 	loggedStashDrop bool // first dropped stashed transaction already logged
 
@@ -79,11 +93,10 @@ type Worker struct {
 	redoLSN  uint64   // LSN of this worker's newest redo append; see noteRedoLSN
 
 	// slicedRedo is set when a commit buffered split (slice) writes
-	// while redo logging is on: those writes have no redo record yet —
-	// they are logged when reconcile merges the slices — so a
-	// durability-synchronous caller must not acknowledge until this
-	// flag clears. Touched only on the worker goroutine (and by quiesce
-	// after the workers have stopped).
+	// while redo logging is on: those writes have no redo record until
+	// reconcile merges the slices, so flushAcks holds SyncCommit
+	// acknowledgements until it clears. Worker goroutine only (and
+	// quiesce after the workers have stopped).
 	slicedRedo bool
 
 	// Cross-thread counters read by the coordinator.
@@ -128,11 +141,7 @@ func (w *Worker) checkPhase() bool {
 	db := w.db
 	if tr := db.inflight.Load(); tr != nil {
 		if w.ackedEpoch < tr.epoch {
-			w.transitionDuty(tr)
-			w.ackedEpoch = tr.epoch
-			if tr.acks.Add(1) == tr.total {
-				db.completeTransition(tr)
-			} else {
+			if !w.ack(tr) {
 				return false
 			}
 		} else {
@@ -154,20 +163,29 @@ func (w *Worker) checkPhase() bool {
 		} else {
 			// Entering a joined phase: restart stashed transactions
 			// ("each worker restarts any transactions it stashed in the
-			// split phase", §5.4).
-			w.drainStash()
+			// split phase", §5.4). This worker acknowledges no transition
+			// meanwhile, so no replay can stash again.
+			w.replayAll(&w.stash)
 		}
 	}
 	return true
 }
 
-// transitionDuty performs this worker's obligation before acknowledging
-// tr: when leaving a split phase, merge the per-core slices into the
-// global store (the reconciliation phase, §5.3, Figure 4).
-func (w *Worker) transitionDuty(tr *transition) {
+// ack performs this worker's obligation before acknowledging tr (when
+// leaving a split phase, merge the per-core slices into the global
+// store: the reconciliation phase, §5.3, Figure 4) and acknowledges it.
+// It reports whether this was the last acknowledgement, which completed
+// tr.
+func (w *Worker) ack(tr *transition) bool {
 	if tr.target == PhaseJoined && Phase(w.db.phase.Load()) == PhaseSplit {
 		w.reconcile()
 	}
+	w.ackedEpoch = tr.epoch
+	if tr.acks.Add(1) != tr.total {
+		return false
+	}
+	w.db.completeTransition(tr)
+	return true
 }
 
 // reconcile merges this worker's slices into the global store: for each
@@ -240,8 +258,8 @@ func (w *Worker) reconcile() {
 	}
 	w.slices = w.slices[:0]
 	// Every absorbed slice write is now merged and its redo record (if
-	// any) appended — redoLSN covers them, so durability-synchronous
-	// waiters may proceed to the watermark.
+	// any) appended: redoLSN covers them, so flushAcks may wait on the
+	// watermark for the acknowledgements it held back.
 	w.slicedRedo = false
 }
 
@@ -257,78 +275,123 @@ func (w *Worker) resetSlices(set *splitSet) {
 	clear(w.slices)
 }
 
-// drainStash re-executes stashed transactions during a joined phase.
-// The phase cannot change underneath the drain because this worker has
-// not acknowledged any new transition.
-func (w *Worker) drainStash() {
-	if len(w.stash) == 0 {
-		return
+// replayAll replays the requests held in *list (w.stash or w.parked),
+// completing each as it finishes. Those that stash or park again are
+// appended to their list, which keeps them for the next round; the
+// array is reused, so holding requests allocates nothing once warm.
+func (w *Worker) replayAll(list *[]held) {
+	n := len(*list)
+	for i := 0; i < n; i++ {
+		h := (*list)[i] // not a range: a request held again may move the array
+		(*list)[i] = held{}
+		w.replay(h)
 	}
-	// Replays cannot stash (this is a joined phase), but one that hits a
-	// commit fence goes back into w.stash: give it the spare array.
-	pending := w.stash
-	w.stash = w.stashSpare[:0]
-	for _, s := range pending {
-		for attempt := 0; ; attempt++ {
-			// The stash itself was already counted (Stashed); the first
-			// replay is the transaction's normal completion, so only
-			// attempts beyond it count as retries — otherwise a stashed
-			// transaction that commits immediately would still report one.
-			if attempt > 0 {
-				w.stats.Retries.Add(1)
-			}
-			out, _ := w.execOnce(s.fn, s.submit)
-			if out == engine.Committed || out == engine.UserAbort {
-				break
-			}
-			if out == engine.AbortedFenced {
-				// The fence's owner — a cross-shard apply transaction — may
-				// be queued behind this very drain on this worker, so
-				// spinning here could wait forever for a fence only we can
-				// release. Put the transaction back in the stash and move
-				// on; a Poll in the joined phase retries it after the
-				// fence clears.
-				w.stash = append(w.stash, s)
-				break
-			}
-			if attempt > 1<<20 {
-				// Pathological livelock: drop the transaction after
-				// counting its aborts, but never silently — the loss is
-				// visible in Stats and logged once per worker.
-				w.stats.StashDropped.Add(1)
-				if !w.loggedStashDrop {
-					w.loggedStashDrop = true
-					log.Printf("doppel: worker %d: dropped a stashed transaction after %d failed replays (livelock); counting further drops in stats only", w.id, attempt)
-				}
-				break
-			}
-		}
-	}
-	clear(pending) // drop the replayed closures for the collector
-	w.stashSpare = pending[:0]
+	rest := copy(*list, (*list)[n:])
+	clear((*list)[rest:])
+	*list = (*list)[:rest]
 }
 
-// attempt implements one engine.Attempt call for this worker.
-func (w *Worker) attempt(fn engine.TxFunc, submitNanos int64) (engine.Outcome, error) {
+// replay runs a held request until it stops aborting on conflicts,
+// then settles it. Only runs beyond the first count as Retries.
+func (w *Worker) replay(h held) {
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			w.stats.Retries.Add(1)
+		}
+		out, err := w.execOnce(h)
+		if out != engine.Aborted {
+			w.settle(h, out, err)
+			return
+		}
+		if attempt >= maxReplays {
+			// Pathological livelock: drop the request, but never
+			// silently: its caller gets an error, Stats count it, and
+			// the first drop per worker is logged.
+			w.stats.StashDropped.Add(1)
+			if !w.loggedStashDrop {
+				w.loggedStashDrop = true
+				log.Printf("doppel: worker %d: dropped a held transaction after %d failed replays (livelock); counting further drops in stats only", w.id, attempt)
+			}
+			if h.done != nil {
+				h.done.Complete(fmt.Errorf("core: transaction dropped after %d conflicting replays", attempt))
+			}
+			return
+		}
+	}
+}
+
+// settle disposes of a run of h the engine owns (a replay, or a
+// request with a completion): a commit completes, under SyncCommit via
+// flushAcks; a failure completes with its error; a fence abort parks h.
+// execOnce already stashed a stash, and a conflict is the caller's.
+func (w *Worker) settle(h held, out engine.Outcome, err error) {
+	switch out {
+	case engine.Committed:
+		switch {
+		case h.done == nil:
+		case w.db.cfg.SyncCommit:
+			w.acks = append(w.acks, h.done)
+		default:
+			h.done.Complete(nil)
+		}
+	case engine.UserAbort:
+		if h.done != nil {
+			h.done.Complete(err)
+		}
+	case engine.AbortedFenced:
+		w.parked = append(w.parked, h)
+	}
+}
+
+// flushAcks completes the held SyncCommit acknowledgements after one
+// wait on the group-commit watermark, unless this worker has slice
+// writes reconcile has not logged yet. It runs after ack, never inside
+// it, where an fsync would stall every worker's transition.
+func (w *Worker) flushAcks() {
+	if len(w.acks) == 0 || w.slicedRedo {
+		return
+	}
+	var err error
+	if derr := w.db.cfg.Redo.WaitDurable(w.redoLSN); derr != nil {
+		err = fmt.Errorf("core: commit not durable: %w", derr)
+	}
+	for i, c := range w.acks {
+		w.acks[i] = nil
+		c.Complete(err)
+	}
+	w.acks = w.acks[:0]
+}
+
+// attempt implements Attempt (done nil) and Run for this worker.
+func (w *Worker) attempt(fn engine.TxFunc, submitNanos int64, done Completion) (engine.Outcome, error) {
 	if !w.checkPhase() {
+		w.flushAcks() // the acknowledged transition may have reconciled
 		return engine.Paused, nil
 	}
 	w.attemptsWindow.Add(1)
-	return w.execOnce(fn, submitNanos)
-}
-
-// poll participates in phase transitions without running a transaction.
-// In a joined phase it also replays whatever is still stashed: a drain
-// puts back transactions that hit a commit fence, and once the fence is
-// released they must not wait for the next phase change.
-func (w *Worker) poll() {
-	if w.checkPhase() && len(w.stash) > 0 && w.db.Phase() == PhaseJoined {
-		w.drainStash()
+	h := held{fn, submitNanos, done}
+	out, err := w.execOnce(h)
+	if done != nil {
+		w.settle(h, out, err)
 	}
+	w.flushAcks()
+	return out, err
 }
 
-// execOnce runs fn once in the current phase and classifies the outcome.
-func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, error) {
+// poll participates in phase transitions and, once the worker may run,
+// retries its parked requests: the wake Poll follows may have been a
+// fence release.
+func (w *Worker) poll() {
+	if w.checkPhase() {
+		w.replayAll(&w.parked)
+	}
+	w.flushAcks()
+}
+
+// execOnce runs h once in the current phase and classifies the outcome.
+// A transaction that stashes is appended to the stash with its
+// completion.
+func (w *Worker) execOnce(h held) (engine.Outcome, error) {
 	// Fail-stop: once the redo logger is terminally dead, new
 	// transactions must not keep acknowledging as durable. Failed() is
 	// one atomic load, so the healthy path pays nothing.
@@ -337,13 +400,10 @@ func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, 
 	}
 	tx := &w.tx
 	tx.reset(w)
-	err := fn(tx)
+	err := h.fn(tx)
 	switch {
 	case errors.Is(err, engine.ErrStash):
-		w.stash = append(w.stash, stashedTxn{fn, submitNanos})
-		if len(w.stash) > w.maxStashLen {
-			w.maxStashLen = len(w.stash)
-		}
+		w.stash = append(w.stash, h)
 		w.stats.Stashed.Add(1)
 		w.db.noteStash()
 		return engine.Stashed, nil
@@ -365,7 +425,7 @@ func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, 
 		w.stats.Committed.Add(1)
 		now := engine.Now()
 		w.db.checkDue(now)
-		lat := now - submitNanos
+		lat := now - h.submit
 		if tx.wrote {
 			w.stats.WriteLatency.Record(lat)
 		} else {
@@ -379,8 +439,8 @@ func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, 
 	return out, nil
 }
 
-// noteRedoLSN records the outcome of a redo append so RedoLSN can
-// report what a durability-synchronous caller must wait for. A refused
+// noteRedoLSN records the outcome of a redo append so flushAcks knows
+// what a SyncCommit acknowledgement must wait for. A refused
 // append (the logger failed terminally) stores the max LSN sentinel:
 // waiting on it surfaces the terminal error instead of acknowledging a
 // commit whose redo record was never accepted.

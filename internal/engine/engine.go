@@ -103,8 +103,8 @@ const (
 	// the fence releases only when the cross-shard commit's apply
 	// transactions (which may be queued behind this very worker) have
 	// run, so a blocked retry loop can deadlock the shard. Callers park
-	// the transaction off the worker queue instead (see doppel's
-	// deferred-retry lane).
+	// the transaction instead, as core.DB.Run does on the worker until
+	// its next wake.
 	AbortedFenced
 )
 

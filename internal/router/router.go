@@ -166,9 +166,8 @@ func (r *Router) ExecContext(ctx context.Context, fn engine.TxFunc) error {
 		return nil
 	case errors.Is(err, errCrossShard) || foreign:
 		// foreign with err == nil happens when a foreign read failed
-		// validation after the home commit, or when the attempt was
-		// stashed and the foreign access was discovered during the stash
-		// drain, whose replay errors the engine drops.
+		// validation after the home commit, or on a shard that drops a
+		// stash replay's error (core's Attempt does).
 		r.stats.Reroutes.Add(1)
 		return r.execCross(ctx, fn)
 	default:

@@ -44,7 +44,7 @@ func (f *fakeShard) ExecContext(ctx context.Context, fn engine.TxFunc) error {
 		case engine.UserAbort:
 			return err
 		case engine.Stashed:
-			// As in doppel, the replay's own error is dropped.
+			// Attempt drops the replay's own error.
 			f.db.RequestJoinedPhase()
 			for f.db.StashLen(0) > 0 {
 				f.db.Poll(0)

@@ -171,8 +171,8 @@ type foreignRead struct {
 // foreign access — a foreign write, a write after a foreign read, a
 // foreign read after a write, or a foreign read that cannot be taken
 // cleanly — sets foreign and starves the body with errCrossShard.
-// Whether that error makes it back through the engine or is swallowed
-// by a stash drain, the router reads foreign afterwards.
+// Whether or not that error makes it back through the engine (core's
+// Attempt drops a stash replay's), the router reads foreign afterwards.
 type checkTx struct {
 	r       *Router
 	inner   engine.Tx

@@ -56,19 +56,15 @@ type Options struct {
 	// file small between checkpoints and give parallel recovery units of
 	// work. Requires RedoLog.
 	MaxSegmentBytes int64
-	// SyncCommit makes Exec/ExecAsync wait for the transaction's redo
-	// record to be written and fsynced before acknowledging: an
-	// acknowledged commit then survives any crash. The wait is on the
-	// log's group-commit watermark, so concurrent transactions share
-	// fsyncs — throughput degrades far less than one fsync per commit —
-	// but each acknowledgement pays up to one group-commit latency. A
-	// waiting acknowledgement makes the log sync at once: it never waits
-	// for the 2 ms cadence that paces asynchronous commits. A
-	// split-phase commutative write costs more: its redo record is
-	// written only when reconciliation merges the per-core slices, so
-	// the acknowledgement additionally waits for the next phase
-	// transition (up to a few PhaseLengths), like a stashed
-	// transaction's. Off by default: the paper's design (§3)
+	// SyncCommit makes Exec/ExecAsync acknowledge a commit only once its
+	// redo record is written and fsynced: an acknowledged commit then
+	// survives any crash. The worker waits on the log's group-commit
+	// watermark, which makes the log sync at once, so the transactions
+	// it acknowledges together share one fsync. A split-phase
+	// commutative write is logged only when reconciliation merges the
+	// per-core slices, so its acknowledgement is held, with the worker
+	// serving its queue meanwhile, until the worker has reconciled at
+	// the next phase transition. Off by default: the paper's design (§3)
 	// acknowledges from memory and logs asynchronously. Requires
 	// RedoLog.
 	SyncCommit bool
@@ -155,6 +151,7 @@ func (o Options) resolve() (Options, core.Config) {
 	cfg := o.Engine
 	cfg.Workers = workers
 	cfg.WorkerIDBase = o.workerIDBase
+	cfg.WALFailStop, cfg.SyncCommit = o.WALFailStop, o.SyncCommit
 	if cfg.PhaseLength == 0 {
 		cfg.PhaseLength = o.PhaseLength
 	}
