@@ -300,9 +300,13 @@ func (c *Cluster) Checkpoint() error {
 }
 
 // Close stops every shard. The cluster must not be used after Close;
-// in-flight Execs drain first, as with DB.Close.
+// in-flight Execs drain first, as with DB.Close. A cross-shard commit
+// that has prepared applies on every shard before any shard closes; one
+// that has not gets ErrClosed.
 func (c *Cluster) Close() {
-	for _, db := range c.dbs {
-		db.Close()
-	}
+	c.router.Close(ErrClosed, func() {
+		for _, db := range c.dbs {
+			db.Close()
+		}
+	})
 }

@@ -720,3 +720,59 @@ func TestClusterCloseWithFenceParkedRequest(t *testing.T) {
 		t.Fatalf("the parked Add completed %d times, want once", n)
 	}
 }
+
+// TestClusterCloseKeepsCrossShardCommitsWhole: Close while goroutines
+// loop cross-shard transfers. A transfer that has prepared applies on
+// both shards before either closes, and one that has not fails with
+// ErrClosed before fencing, so no apply is lost and the balances still
+// sum to zero. Closing the shards one by one, with no router lock held,
+// half-applied most rounds.
+func TestClusterCloseKeepsCrossShardCommitsWhole(t *testing.T) {
+	for round := 0; round < 30; round++ {
+		cl, err := OpenCluster(ClusterOptions{Shards: 2, DB: Options{Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := keyOnShard(cl, 0, "close-a"), keyOnShard(cl, 1, "close-b")
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					err := cl.Exec(func(tx Tx) error {
+						if err := tx.Add(a, -1); err != nil {
+							return err
+						}
+						return tx.Add(b, 1)
+					})
+					if err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("transfer: %v", err)
+						}
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(5 * time.Millisecond)
+		cl.Close()
+		wg.Wait()
+		if lost := cl.Stats().Router.CrossShardApplyLost; lost != 0 {
+			t.Fatalf("round %d: %d applies lost across Close", round, lost)
+		}
+		var sum int64
+		for s, k := range []string{a, b} {
+			if rec := cl.DB(s).Internal().Store().Get(k); rec != nil {
+				n, err := rec.Value().AsInt()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += n
+			}
+		}
+		if sum != 0 {
+			t.Fatalf("round %d: balances sum to %d after Close, want 0", round, sum)
+		}
+	}
+}

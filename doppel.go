@@ -30,7 +30,6 @@ package doppel
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,17 +90,19 @@ type Stats struct {
 	// its previous value and TID. Non-zero means the application mixed
 	// incompatible operations on a split key.
 	MergeFailures uint64
-	// StashDropped counts stashed or fence-parked transactions a worker
-	// abandoned after its replay cap (over a million consecutive conflict
-	// aborts — a pathological livelock). Each such transaction never
-	// executed, and its caller got an error; each worker also logs the
-	// first drop it makes.
+	// StashDropped counts held transactions a worker abandoned after its
+	// replay cap: stashed ones, and ones parked after a conflict or a
+	// commit fence, whose replays conflict-aborted over a million times
+	// (a pathological livelock). Each such transaction never executed,
+	// and its caller got an error; each worker also logs the first drop
+	// it makes.
 	StashDropped uint64
 	// FenceAborts counts attempts that yielded to a cross-shard commit
 	// fence: the transaction touched a key an in-flight cross-shard
-	// commit had validated but not yet applied. These retry like
-	// conflict aborts (fences live for microseconds); the counter is
-	// only ever non-zero for shards of a Cluster.
+	// commit had validated but not yet applied. The worker parks such a
+	// transaction and retries it once the router releases the fence
+	// (fences live for microseconds); the counter is only ever non-zero
+	// for shards of a Cluster.
 	FenceAborts uint64
 	// RedoLogError is the redo logger's terminal failure ("" when
 	// healthy or logging is disabled). Logging is asynchronous, so
@@ -289,13 +290,14 @@ func openInto(opts Options, st *store.Store) (*DB, error) {
 
 // worker drives one engine worker. It blocks on exactly two events: a
 // request arriving in its queue, and a token in the engine's wake
-// channel for it (core.DB.Wake), which the engine leaves after every
-// phase-transition publish and completion and the cluster router leaves
-// after releasing commit fences. A wake makes the worker Poll, which
+// channel for it (core.DB.Wake). The engine leaves one after every
+// phase-transition publish and completion, and after a commit releases
+// locks a parked request waits for; the cluster router leaves one after
+// releasing commit fences. A wake makes the worker Poll, which
 // acknowledges a transition, reconciles its slices, replays its stash
-// and retries its fence-parked requests. No timer drives it. Requests
-// the engine holds (stashed, fence-parked, awaiting durability) are
-// completed by the engine; the worker goes straight back to its queue.
+// and retries its parked requests. No timer drives it. Requests the engine holds
+// (stashed, parked, awaiting durability) are completed by the engine;
+// the worker goes straight back to its queue.
 func (db *DB) worker(w int) {
 	defer db.wg.Done()
 	wake := db.eng.Wake(w)
@@ -318,9 +320,9 @@ func (db *DB) worker(w int) {
 	}
 }
 
-// run submits req to the engine until the engine owns it: it retries a
+// run submits req to the engine until the engine owns it, retrying a
 // Paused attempt after the worker's next wake (the last acknowledger of
-// the transition leaves it) and a conflict abort after a backoff.
+// the transition leaves it).
 func (db *DB) run(w int, req *request) {
 	// A request cancelled while it waited in the queue never executes
 	// (the ExecContext contract); the caller has already returned, so
@@ -333,47 +335,12 @@ func (db *DB) run(w int, req *request) {
 		default:
 		}
 	}
-	var bo backoff
-	for {
-		switch db.eng.Run(w, req.fn, req.submit, req) {
-		case engine.Paused:
-			// The wake may be meant for Poll's other work too (a fence
-			// release), so Poll before running again.
-			<-db.eng.Wake(w)
-			db.eng.Poll(w)
-		case engine.Aborted:
-			bo.wait()
-		default:
-			return
-		}
+	for !db.eng.Run(w, req.fn, req.submit, req) {
+		// The wake may be meant for Poll's other work too (a parked
+		// request), so Poll before running again.
+		<-db.eng.Wake(w)
+		db.eng.Poll(w)
 	}
-}
-
-// backoff paces retries of a conflict-aborted transaction. The first
-// steps only yield the processor: a timer sleep that short is delivered
-// tens of microseconds late, far longer than the conflicting commit
-// takes. Later steps sleep, doubling up to maxBackoff.
-type backoff struct{ step int }
-
-const (
-	backoffYields = 6 // steps that only yield
-	minBackoff    = 64 * time.Microsecond
-	maxBackoff    = time.Millisecond
-)
-
-func (b *backoff) wait() {
-	if b.step < backoffYields {
-		b.step++
-		runtime.Gosched()
-		return
-	}
-	d := minBackoff << (b.step - backoffYields)
-	if d < maxBackoff {
-		b.step++
-	} else {
-		d = maxBackoff
-	}
-	time.Sleep(d)
 }
 
 // Exec runs fn as a serializable transaction and returns once it has
@@ -598,9 +565,9 @@ func (db *DB) Stats() Stats {
 }
 
 // Close stops the workers, reconciles outstanding per-core slices and
-// completes every request the workers still hold: stashed and
-// fence-parked transactions are replayed (a parked one waits for its
-// fence's release), and their callbacks may run on Close's goroutine.
+// completes every request the workers still hold: stashed and parked
+// transactions are replayed (a fence-parked one waits for its fence's
+// release), and their callbacks may run on Close's goroutine.
 // Submissions that race Close get ErrClosed. The database must not be
 // used after Close.
 func (db *DB) Close() {

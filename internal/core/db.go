@@ -63,6 +63,9 @@ type DB struct {
 	pubMu sync.Mutex
 
 	workers []*Worker
+	// unlockWaiters counts workers whose awaitsUnlock is set, so a
+	// commit checks one word when nobody waits.
+	unlockWaiters atomic.Int32
 
 	// classifier state (coordinator-side master copy), guarded by classMu
 	classMu   sync.Mutex
@@ -145,24 +148,23 @@ func (db *DB) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Outcom
 	return db.workers[w].attempt(fn, submitNanos, nil)
 }
 
-// Run executes fn once on worker w for a request whose outcome goes to
-// done, exactly once. Paused means fn did not run: a transition is in
-// flight, and the caller waits on Wake(w), Polls and calls Run again.
-// Aborted means a conflict: the caller retries. Any other outcome means
-// the engine owns the request. It has completed done, or it holds the
-// request and completes it later from Poll or Close: stashed until the
-// next joined phase, parked on a commit fence until a wake, or, under
-// Config.SyncCommit, committed but not yet durable. See doc.go's "Held
-// requests".
-func (db *DB) Run(w int, fn engine.TxFunc, submitNanos int64, done Completion) engine.Outcome {
+// Run submits fn on worker w for a request whose outcome goes to done,
+// exactly once. It reports whether fn ran. false means a transition is
+// in flight: the caller waits on Wake(w), Polls and calls Run again.
+// Otherwise the engine owns the request. It has completed done, or it
+// holds the request and completes it later from Poll or Close: parked
+// after a conflict or a commit fence until a wake, stashed until the
+// next joined phase, or, under Config.SyncCommit, committed but not yet
+// durable. See doc.go's "Held requests".
+func (db *DB) Run(w int, fn engine.TxFunc, submitNanos int64, done Completion) bool {
 	out, _ := db.workers[w].attempt(fn, submitNanos, done)
-	return out
+	return out != engine.Paused
 }
 
 // Poll implements engine.Engine: the worker participates in any pending
 // phase transition (replaying its stash on entering a joined phase),
-// retries its fence-parked requests and completes acknowledgements the
-// redo log now covers.
+// retries its parked requests and completes acknowledgements the redo
+// log now covers.
 func (db *DB) Poll(w int) { db.workers[w].poll() }
 
 // Wake returns worker w's wake channel. It holds at most one token; a
@@ -180,6 +182,19 @@ func (db *DB) Wake(w int) <-chan struct{} { return db.workers[w].wake }
 func (db *DB) WakeAll() {
 	for _, w := range db.workers {
 		w.notify()
+	}
+}
+
+// wakeUnlockWaiters wakes the peers of committer that wait for a record
+// to be unlocked: its commit has released its locks. The waiter saw the
+// record locked by another transaction, so committer's own wait is never
+// for a lock it released.
+func (db *DB) wakeUnlockWaiters(committer *Worker) {
+	for _, w := range db.workers {
+		if w != committer && w.awaitsUnlock.Swap(false) {
+			db.unlockWaiters.Add(-1)
+			w.notify()
+		}
 	}
 }
 
@@ -224,7 +239,7 @@ func (db *DB) SplitKeys() []string {
 func (db *DB) PhaseChanges() uint64 { return db.phaseChanges.Load() }
 
 // StashLen reports how many transactions worker w holds for a later
-// run: stashed ones awaiting the next joined phase and fence-parked ones
+// run: stashed ones awaiting the next joined phase and parked ones
 // awaiting a wake. It must be called from the goroutine that drives
 // worker w.
 func (db *DB) StashLen(w int) int { return len(db.workers[w].stash) + len(db.workers[w].parked) }
@@ -597,9 +612,10 @@ func (db *DB) quiesce() {
 		db.ackAll(db.inflight.Load())
 	}
 	// Joined phase now: replay every worker's stash, and retry its
-	// parked requests until no fence stands in their way. A fence is
-	// released by its cross-shard commit, whose router then wakes every
-	// worker of the shard.
+	// parked requests until none is left. The workers hold no record
+	// locks now, so a conflict retry is woken at once unless the router
+	// holds one; the router wakes every worker of the shard after it
+	// releases its locks and fences.
 	for _, w := range db.workers {
 		w.replayAll(&w.stash)
 		for w.replayAll(&w.parked); len(w.parked) > 0; w.replayAll(&w.parked) {

@@ -58,7 +58,11 @@
 //     the transition: workers paused on it resume, and a worker entering
 //     a joined phase replays its stash;
 //   - WakeAll, which the cluster router calls after releasing a shard's
-//     commit fences: requests parked on them can now run.
+//     commit fences: requests parked on them can now run;
+//   - a commit that released its locks, for each peer with a request
+//     parked on a record it found locked (Worker.awaitUnlock), and a
+//     conflict abort that found nothing locked, on the worker's own
+//     channel: the parked request can run again.
 //
 // Every state change is followed by a send, so no wakeup is lost: a
 // driver that checked the state and found nothing to do, then blocked
@@ -80,28 +84,39 @@
 //   - stashed (the stash): the transaction touched split data in a
 //     split phase. The worker replays it on entering the next joined
 //     phase, and completes it as its replay commits or fails.
-//   - parked: the transaction aborted on a cross-shard commit fence.
-//     Blocking on the fence could deadlock the shard, since its
-//     releasing apply may be queued behind the request, so the worker
-//     retries it from Poll after the next wake, in whatever phase is
-//     current; a retry in a split phase may stash it.
+//   - parked: the transaction aborted on a conflict or on a cross-shard
+//     commit fence. The worker retries it once per Poll, in whatever
+//     phase is current; a retry in a split phase may stash it. After a
+//     conflict the worker serves its queue until a peer's commit
+//     releases its locks, or, if the record the conflict found is not
+//     locked, until its own next wake: a retry that ran while the holder
+//     kept its lock would only spin. A fence abort waits for the
+//     router's wake: blocking on the fence could deadlock the shard,
+//     since its releasing apply may be queued behind the request. A
+//     stash replay that conflicts parks too, so a worker retries its
+//     parked requests once more before it acknowledges a split phase,
+//     while the peers that have acknowledged are paused: a stashed
+//     transaction still commits joined (§5.4) unless it conflicts again.
 //   - acknowledgements (Config.SyncCommit): a committed request is
 //     completed after one wait on the redo log's watermark, and one
 //     whose worker has slice writes still unlogged waits until the
 //     worker has reconciled them at the next transition.
 //
-// A replay that keeps failing on conflicts is dropped after maxReplays
-// runs and completed with an error (Stats.StashDropped). Attempt is the
-// same path with no completion: its stashed transactions replay with
-// their outcome dropped, and a fence abort returns to the caller.
+// Run never hands a conflict back; only a Paused request returns to its
+// caller. A held request dropped after maxReplays conflict-aborted
+// replays is completed with an error (Stats.StashDropped). Attempt is
+// the same path with no completion: its stashed transactions replay
+// with their outcome dropped, and an abort of the attempt itself
+// returns to the caller.
 //
 // Closing needs no barrier across workers. The driver calls StopPhases
 // first, so no transition is published after a worker stops; each
 // worker then acknowledges any transition in flight (one Poll) and
 // stops. Close (quiesce) acknowledges for them, reconciles to a joined
 // phase, replays every stash, and retries parked requests, blocking on
-// the worker's wake channel while a fence stands: the router wakes
-// every worker of the shard when it releases fences. A completion may
+// the worker's wake channel between rounds: a conflict on a record
+// nobody holds leaves a token, and the router wakes every worker of the
+// shard when it releases fences (and record locks it took). A completion may
 // therefore run on Close's goroutine.
 //
 // # Barriers and durability

@@ -31,6 +31,9 @@ type Tx struct {
 	// engine.FenceTx) so the apply transaction passes the fence checks on
 	// its own fenced records while everyone else aborts on them.
 	fence uint64
+	// blocker is the record a conflict abort found locked or changed;
+	// the worker retries after it is unlocked (see Worker.awaitUnlock).
+	blocker *store.Record
 }
 
 type readEnt struct {
@@ -74,6 +77,7 @@ func (t *Tx) reset(w *Worker) {
 	t.sw = t.sw[:0]
 	t.wrote = false
 	t.fence = 0
+	t.blocker = nil
 }
 
 // SetFenceToken implements engine.FenceTx.
@@ -123,6 +127,7 @@ func (t *Tx) load(key string) (*store.Value, error) {
 	}
 	v, tid, ok := rec.ReadConsistent(readSpins)
 	if !ok {
+		t.blocker = rec
 		t.w.sampleConflict(key, store.OpGet)
 		return nil, engine.ErrAbort
 	}
@@ -230,6 +235,7 @@ func (t *Tx) update(key string, op store.Op) error {
 	}
 	_, tid, ok := rec.ReadConsistent(readSpins)
 	if !ok {
+		t.blocker = rec
 		t.w.sampleConflict(key, op.Kind)
 		return engine.ErrAbort
 	}
@@ -357,6 +363,7 @@ func (t *Tx) commit() (engine.Outcome, error) {
 		for i := range t.reads {
 			tid, locked := t.reads[i].rec.TIDWord()
 			if locked || tid != t.reads[i].tid {
+				t.blocker = t.reads[i].rec
 				t.sampleReadConflicts()
 				return engine.Aborted, nil
 			}
@@ -385,6 +392,7 @@ func (t *Tx) commit() (engine.Outcome, error) {
 			continue
 		}
 		if !t.wset[i].rec.TryLock() {
+			t.blocker = t.wset[i].rec
 			t.unlockPrefix(locked)
 			t.w.sampleConflict(t.wset[i].key, t.wset[i].op.Kind)
 			return engine.Aborted, nil
@@ -406,6 +414,7 @@ func (t *Tx) commit() (engine.Outcome, error) {
 		rd := &t.reads[i]
 		tid, isLocked := rd.rec.TIDWord()
 		if tid != rd.tid || (isLocked && !t.inWrites(rd.rec)) {
+			t.blocker = rd.rec
 			t.unlockPrefix(locked)
 			t.w.sampleConflict(rd.key, rd.op)
 			return engine.Aborted, nil

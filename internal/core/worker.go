@@ -33,16 +33,17 @@ type Completion interface {
 }
 
 // held is a request a worker keeps for a later run: stashed for the
-// next joined phase (§5.2), or parked on a commit fence until a wake.
-// done is nil for a transaction submitted through Attempt.
+// next joined phase (§5.2), or parked after a conflict or a commit fence
+// until a wake. done is nil for a transaction submitted through Attempt;
+// replays counts its conflict-aborted replays.
 type held struct {
-	fn     engine.TxFunc
-	submit int64
-	done   Completion
+	fn      engine.TxFunc
+	submit  int64
+	done    Completion
+	replays int
 }
 
-// maxReplays bounds the consecutive conflict aborts of a held request's
-// replay; after that it is dropped (see replay).
+// maxReplays bounds a held request's conflict-aborted replays.
 const maxReplays = 1 << 20
 
 // sliceState is one per-core slice: the accumulated value for one split
@@ -74,7 +75,7 @@ type Worker struct {
 	seenEpoch       uint64 // highest completed epoch whose entry work ran
 	slices          []sliceState
 	stash           []held       // stashed in a split phase; replayed on entering a joined phase
-	parked          []held       // aborted on a commit fence; retried by Poll after a wake
+	parked          []held       // aborted on a conflict or a commit fence; retried by Poll after a wake
 	acks            []Completion // committed under SyncCommit; completed once the redo log covers them
 	tx              Tx
 	sampleTick      int
@@ -98,6 +99,10 @@ type Worker struct {
 	// acknowledgements until it clears. Worker goroutine only (and
 	// quiesce after the workers have stopped).
 	slicedRedo bool
+
+	// awaitsUnlock is set while a conflict-parked request waits for a
+	// peer's commit to release a record; see awaitUnlock.
+	awaitsUnlock atomic.Bool
 
 	// Cross-thread counters read by the coordinator.
 	attemptsWindow   atomic.Uint64 // attempts since the classifier last looked
@@ -141,6 +146,11 @@ func (w *Worker) checkPhase() bool {
 	db := w.db
 	if tr := db.inflight.Load(); tr != nil {
 		if w.ackedEpoch < tr.epoch {
+			if tr.target == PhaseSplit {
+				// A stash replay that conflicted still runs joined
+				// (§5.4); peers that acknowledged are paused meanwhile.
+				w.replayAll(&w.parked)
+			}
 			if !w.ack(tr) {
 				return false
 			}
@@ -291,39 +301,37 @@ func (w *Worker) replayAll(list *[]held) {
 	*list = (*list)[:rest]
 }
 
-// replay runs a held request until it stops aborting on conflicts,
-// then settles it. Only runs beyond the first count as Retries.
+// replay runs a held request once and settles it, dropping it after
+// maxReplays conflict aborts. Runs after the first such abort count as
+// Retries.
 func (w *Worker) replay(h held) {
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			w.stats.Retries.Add(1)
-		}
-		out, err := w.execOnce(h)
-		if out != engine.Aborted {
-			w.settle(h, out, err)
-			return
-		}
-		if attempt >= maxReplays {
+	if h.replays > 0 {
+		w.stats.Retries.Add(1)
+	}
+	out, err := w.execOnce(h)
+	if out == engine.Aborted {
+		if h.replays++; h.replays >= maxReplays {
 			// Pathological livelock: drop the request, but never
 			// silently: its caller gets an error, Stats count it, and
 			// the first drop per worker is logged.
 			w.stats.StashDropped.Add(1)
 			if !w.loggedStashDrop {
 				w.loggedStashDrop = true
-				log.Printf("doppel: worker %d: dropped a held transaction after %d failed replays (livelock); counting further drops in stats only", w.id, attempt)
+				log.Printf("doppel: worker %d: dropped a held transaction after %d failed replays (livelock); counting further drops in stats only", w.id, h.replays)
 			}
 			if h.done != nil {
-				h.done.Complete(fmt.Errorf("core: transaction dropped after %d conflicting replays", attempt))
+				h.done.Complete(fmt.Errorf("core: transaction dropped after %d conflicting replays", h.replays))
 			}
 			return
 		}
 	}
+	w.settle(h, out, err)
 }
 
 // settle disposes of a run of h the engine owns (a replay, or a
 // request with a completion): a commit completes, under SyncCommit via
-// flushAcks; a failure completes with its error; a fence abort parks h.
-// execOnce already stashed a stash, and a conflict is the caller's.
+// flushAcks; a failure completes with its error; an abort parks h.
+// execOnce already stashed a stash.
 func (w *Worker) settle(h held, out engine.Outcome, err error) {
 	switch out {
 	case engine.Committed:
@@ -338,9 +346,29 @@ func (w *Worker) settle(h held, out engine.Outcome, err error) {
 		if h.done != nil {
 			h.done.Complete(err)
 		}
-	case engine.AbortedFenced:
+	case engine.Aborted:
 		w.parked = append(w.parked, h)
+		w.awaitUnlock(w.tx.blocker)
+	case engine.AbortedFenced:
+		w.parked = append(w.parked, h) // the fence's release wakes it
 	}
+}
+
+// awaitUnlock arranges the wake that retries a conflict-parked request:
+// a peer's next commit if rec, the record the conflict found, is locked
+// (a retry before its holder unlocks would spin), else one at once. The
+// flag is set before rec is checked, and a committer unlocks before it
+// checks the flag (wakeUnlockWaiters), so one of them sees the other.
+func (w *Worker) awaitUnlock(rec *store.Record) {
+	if rec != nil {
+		if !w.awaitsUnlock.Swap(true) {
+			w.db.unlockWaiters.Add(1)
+		}
+		if _, locked := rec.TIDWord(); locked {
+			return
+		}
+	}
+	w.notify()
 }
 
 // flushAcks completes the held SyncCommit acknowledgements after one
@@ -369,7 +397,7 @@ func (w *Worker) attempt(fn engine.TxFunc, submitNanos int64, done Completion) (
 		return engine.Paused, nil
 	}
 	w.attemptsWindow.Add(1)
-	h := held{fn, submitNanos, done}
+	h := held{fn: fn, submit: submitNanos, done: done}
 	out, err := w.execOnce(h)
 	if done != nil {
 		w.settle(h, out, err)
@@ -379,8 +407,9 @@ func (w *Worker) attempt(fn engine.TxFunc, submitNanos int64, done Completion) (
 }
 
 // poll participates in phase transitions and, once the worker may run,
-// retries its parked requests: the wake Poll follows may have been a
-// fence release.
+// retries its parked requests once: the wake Poll follows may have been
+// a fence release, or a commit releasing a record one of them conflicted
+// on.
 func (w *Worker) poll() {
 	if w.checkPhase() {
 		w.replayAll(&w.parked)
@@ -417,6 +446,9 @@ func (w *Worker) execOnce(h held) (engine.Outcome, error) {
 		return engine.UserAbort, err
 	}
 	out, cerr := tx.commit()
+	if w.db.unlockWaiters.Load() != 0 {
+		w.db.wakeUnlockWaiters(w)
+	}
 	if cerr != nil {
 		return engine.UserAbort, cerr
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // ErrAbort reports a concurrency-control conflict: the transaction had no
-// effect and the caller should retry it later (the paper's workers retry
-// "at a later time, chosen with exponential backoff").
+// effect and is retried later (the paper's workers retry "at a later
+// time, chosen with exponential backoff"; Doppel's core parks it on its
+// worker until the conflicting commit releases its locks).
 var ErrAbort = errors.New("engine: transaction aborted due to conflict")
 
 // ErrStash reports that a Doppel split phase could not execute the
@@ -93,18 +94,22 @@ type Outcome uint8
 // Attempt outcomes.
 const (
 	Committed Outcome = iota // transaction committed
-	Aborted                  // conflict; caller should retry with backoff
-	Stashed                  // Doppel stashed it; engine will retry it itself
-	UserAbort                // the TxFunc returned its own error
-	Paused                   // engine busy with a phase transition; fn did not run
+	// Aborted is a conflict: the caller of Attempt retries later.
+	// core.DB.Run never returns it; the worker parks the request and
+	// retries it from Poll once the conflicting commit has released its
+	// locks, so a conflict never makes the worker spin.
+	Aborted
+	Stashed   // Doppel stashed it; engine will retry it itself
+	UserAbort // the TxFunc returned its own error
+	Paused    // engine busy with a phase transition; fn did not run
 	// AbortedFenced is Aborted's commit-fence flavor: the transaction
 	// touched a record fenced by an in-flight cross-shard commit. The
 	// caller should retry, but must not spin on the worker indefinitely —
 	// the fence releases only when the cross-shard commit's apply
 	// transactions (which may be queued behind this very worker) have
-	// run, so a blocked retry loop can deadlock the shard. Callers park
-	// the transaction instead, as core.DB.Run does on the worker until
-	// its next wake.
+	// run, so a blocked retry loop can deadlock the shard. core.DB.Run
+	// parks the request beside conflict-aborted ones; the router's wake
+	// after it releases the fence retries it.
 	AbortedFenced
 )
 

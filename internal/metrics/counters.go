@@ -7,9 +7,10 @@ import (
 
 // TxnStats accumulates per-worker transaction outcomes. Workers own one
 // each; the harness merges them after a run. The distinction between
-// aborts (OCC conflicts, retried with backoff) and stashes (Doppel split
-// phase incompatibilities, retried in the next joined phase) mirrors the
-// paper's §5 terminology.
+// aborts (OCC conflicts, retried later: by the harness with backoff, by
+// a Doppel worker once the conflicting commit unlocks) and stashes
+// (Doppel split phase incompatibilities, retried in the next joined
+// phase) mirrors the paper's §5 terminology.
 //
 // Every field is a single-writer atomic: the owning worker is the only
 // writer, and anyone may Load (or Merge) while it runs. A merged total
@@ -19,7 +20,7 @@ type TxnStats struct {
 	Committed atomic.Uint64 // transactions that committed
 	Aborted   atomic.Uint64 // conflict aborts (will be retried)
 	Stashed   atomic.Uint64 // split-phase incompatibility stashes (retried later)
-	Retries   atomic.Uint64 // extra re-executions beyond a stashed txn's first replay
+	Retries   atomic.Uint64 // replays of a held txn after a replay of it conflict-aborted
 
 	// MergeFailures counts reconciliation merges that failed (a split
 	// record's global value and its per-core slice had incompatible
@@ -28,10 +29,11 @@ type TxnStats struct {
 	// count means committed split-phase operations were lost.
 	MergeFailures atomic.Uint64
 
-	// StashDropped counts stashed transactions abandoned after the
-	// drain's replay cap (a pathological livelock: the transaction kept
-	// conflict-aborting for over a million consecutive replays). A
-	// non-zero count means an accepted transaction never executed.
+	// StashDropped counts held transactions (stashed, or parked after a
+	// conflict or a commit fence) abandoned after the replay cap (a
+	// pathological livelock: the transaction's replays conflict-aborted
+	// over a million times). A non-zero count means an accepted
+	// transaction never executed.
 	StashDropped atomic.Uint64
 
 	// FenceAborts counts attempts that aborted on a commit fence: the

@@ -53,8 +53,11 @@
 //     every gathered read is revalidated against the record's current
 //     value, read under the record's commit lock. A stale value, a
 //     foreign fence, or a key in an active split phase vetoes: fences
-//     and locks release, nothing applied, gather retries with jittered
-//     backoff.
+//     and locks release, nothing applied, and gather runs again at
+//     once. No timer paces the retry: gather's shard reads wait on the
+//     shard's own events, parking on a fence until its release wake
+//     and stashing on split data until the joined phase. A split key
+//     the body only wrote blindly (Put) gets one such read first.
 //  3. Commit: one shard transaction per shard with writes revalidates
 //     that shard's gathered reads AND replays its buffered writes — per
 //     shard, validate+write is a single atomic OCC commit. The
@@ -147,6 +150,9 @@
 //     closed. tools/analyze's lockorder pass keeps the ordering
 //     deadlock-free statically, and TestFenceSplitRace stresses the
 //     boundary with phase changes forced at millisecond cadence.
+//   - Close holds every shard's commit lock while the shards close,
+//     so a prepared commit applies everywhere first, and a round that
+//     takes the locks after Close fails before it fences anything.
 //   - RouterStats.CrossShardApplyLost must read zero. Non-zero means a
 //     fenced record changed between prepare validation and apply — a
 //     fence-protocol bug, not an expected workload outcome. The failing

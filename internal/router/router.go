@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"hash/maphash"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -105,6 +106,11 @@ type Router struct {
 	// noFences disables commit-fence installation; see
 	// SetNoFencesForTesting.
 	noFences bool
+
+	// closed is the error every cross-shard round fails with once Close
+	// has run. Close writes it holding every lock in locks, and a round
+	// reads it holding at least one.
+	closed error
 }
 
 // SetNoFencesForTesting disables commit-fence installation, reverting
@@ -134,6 +140,26 @@ func New(shards []Shard, part Partitioner, stats *metrics.RouterStats) *Router {
 	}
 	r.calls.New = func() any { return newRoutedCall(r) }
 	return r
+}
+
+// Close runs closeShards while it holds every shard's commit lock, in
+// ascending order, so no cross-shard commit is between prepare and apply
+// while the shards close: one either finished applying before, or takes
+// the locks after and fails with err before fencing anything.
+func (r *Router) Close(err error, closeShards func()) {
+	all := make([]int, len(r.locks))
+	for i := range all {
+		all[i] = i
+	}
+	sort.Ints(all) // a no-op that lets the lock-order analyzer see the order
+	for _, s := range all {
+		r.locks[s].Lock()
+	}
+	r.closed = err
+	closeShards()
+	for i := len(all) - 1; i >= 0; i-- {
+		r.locks[all[i]].Unlock()
+	}
 }
 
 // Shards returns the shard count.

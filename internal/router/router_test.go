@@ -2,10 +2,12 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"doppel/internal/core"
 	"doppel/internal/engine"
@@ -398,7 +400,7 @@ func TestPrepareRejectsStaleGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed(t, r, b, 50)
-	committed, err := r.tryCommit(g)
+	committed, _, err := r.tryCommit(g)
 	if err != nil || committed {
 		t.Fatalf("tryCommit over a stale gather = %v, %v; want false, nil", committed, err)
 	}
@@ -414,10 +416,78 @@ func TestPrepareRejectsStaleGather(t *testing.T) {
 	if err := transfer(g); err != nil {
 		t.Fatal(err)
 	}
-	if committed, err := r.tryCommit(g); err != nil || !committed {
+	if committed, _, err := r.tryCommit(g); err != nil || !committed {
 		t.Fatalf("tryCommit over a fresh gather = %v, %v; want true, nil", committed, err)
 	}
 	if x, y := fakes[0].value(t, a), fakes[1].value(t, b); x != 4 || y != 51 {
 		t.Errorf("after commit %s=%d %s=%d, want 4 and 51", a, x, b, y)
+	}
+}
+
+// TestBlindPutWaitsOutSplitPhase: a round refused because a key it only
+// wrote blindly is split data re-gathers after a read of that key has
+// stashed on its shard until the joined phase. The fake shard ends a
+// split phase only when a transaction stashes, so without that read
+// every round would be refused again.
+func TestBlindPutWaitsOutSplitPhase(t *testing.T) {
+	r, fakes := newTestRouter(t)
+	a, b := keyOn(r, 0, "a"), keyOn(r, 1, "b")
+	seed(t, r, a, 5)
+	seed(t, r, b, 7)
+	fakes[1].split(t, b)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := r.ExecContext(ctx, func(tx engine.Tx) error {
+		if err := tx.Add(a, 1); err != nil {
+			return err
+		}
+		return tx.PutInt(b, 9)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, y := fakes[0].value(t, a), fakes[1].value(t, b); x != 6 || y != 9 {
+		t.Errorf("after commit %s=%d %s=%d, want 6 and 9", a, x, b, y)
+	}
+	if st := r.Stats(); st.CrossShard != 1 || st.CrossShardRetries != 1 {
+		t.Errorf("stats %+v, want one 2PC commit after one refused round", st)
+	}
+}
+
+// TestClosedRouterRefusesRoundsBeforeFencing: once Close has run, a
+// cross-shard round fails with Close's error before it fences or
+// applies anything, even when its gather touched no shard.
+func TestClosedRouterRefusesRoundsBeforeFencing(t *testing.T) {
+	r, fakes := newTestRouter(t)
+	a, b := keyOn(r, 0, "a"), keyOn(r, 1, "b")
+	seed(t, r, a, 5)
+	seed(t, r, b, 7)
+	errShut := errors.New("shut")
+	closed := false
+	r.Close(errShut, func() { closed = true })
+	if !closed {
+		t.Fatal("Close did not run its shard closer")
+	}
+	err := r.ExecContext(context.Background(), func(tx engine.Tx) error {
+		// Routed to a's shard, the foreign Put reroutes the transaction
+		// into the cross-shard path, whose gather reads nothing.
+		if err := tx.PutInt(a, 1); err != nil {
+			return err
+		}
+		return tx.PutInt(b, 1)
+	})
+	if !errors.Is(err, errShut) {
+		t.Fatalf("round after Close returned %v, want %v", err, errShut)
+	}
+	for s, k := range []string{a, b} {
+		if tok := fakes[s].Store().Get(k).FenceToken(); tok != 0 {
+			t.Errorf("%s fenced (%d) by a round after Close", k, tok)
+		}
+	}
+	if x, y := fakes[0].value(t, a), fakes[1].value(t, b); x != 5 || y != 7 {
+		t.Errorf("round after Close had effects: %s=%d %s=%d, want 5 and 7", a, x, b, y)
+	}
+	if st := r.Stats(); st.CrossShardApplyLost != 0 || st.CrossShard != 0 {
+		t.Errorf("stats %+v, want no commit and no lost apply", st)
 	}
 }

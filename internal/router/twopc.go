@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"sync"
-	"time"
 
 	"doppel/internal/engine"
 	"doppel/internal/store"
@@ -19,9 +17,6 @@ import (
 // committer and the reconciliation-aware prepare yield to the fence — so
 // a sighting is a bug, counted in CrossShardApplyLost.
 var errApplyStale = errors.New("router: fenced record changed between prepare and apply")
-
-// crossShardBackoff caps the retry backoff between 2PC rounds.
-const crossShardBackoff = time.Millisecond
 
 // gatherRead is one entry of the cross-shard read set: the value the
 // body observed, pre-overlay, exactly as prepare must revalidate it.
@@ -284,11 +279,12 @@ func (g *gatherTx) shardWrites(i int) []gatherWrite {
 }
 
 // execCross runs fn through the cross-shard protocol: gather, then
-// prepare+commit under the shard locks, retrying the whole round while
-// prepare finds stale reads or foreign fences.
+// prepare+commit under the shard locks. A refused round re-gathers at
+// once: a gather read of split data stashes on its shard until the
+// joined phase, so a split key the body never read (a blind Put's) is
+// read here first.
 func (r *Router) execCross(ctx context.Context, fn engine.TxFunc) error {
 	g := &gatherTx{r: r, ctx: ctx}
-	backoff := 2 * time.Microsecond
 	for {
 		g.reset()
 		err := fn(g)
@@ -299,7 +295,7 @@ func (r *Router) execCross(ctx context.Context, fn engine.TxFunc) error {
 			r.stats.CrossShardAborts.Add(1)
 			return err
 		}
-		committed, err := r.tryCommit(g)
+		committed, split, err := r.tryCommit(g)
 		if err != nil {
 			return err
 		}
@@ -308,28 +304,26 @@ func (r *Router) execCross(ctx context.Context, fn engine.TxFunc) error {
 			return nil
 		}
 		r.stats.CrossShardRetries.Add(1)
-		// Jittered backoff: sleep a uniform duration in [backoff/2,
-		// backoff] so transactions contending on the same keys spread out
-		// instead of retrying in lockstep at the 1ms cap forever.
-		sleep := backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(sleep):
+		if _, read := g.readIdx[split]; split != "" && !read {
+			if _, err := g.load(split); err != nil {
+				return err
+			}
 		}
-		if backoff < crossShardBackoff {
-			backoff *= 2
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
 }
 
 // tryCommit runs one prepare+commit round under the shard locks.
 // committed=false with a nil error means prepare found a stale read, a
-// foreign fence, or split data; the caller retries from gather.
-func (r *Router) tryCommit(g *gatherTx) (committed bool, err error) {
+// foreign fence, or split data (split then names the key); the caller
+// retries from gather. After Close, a round fails with the closing
+// error before it fences anything.
+func (r *Router) tryCommit(g *gatherTx) (committed bool, split string, err error) {
 	g.group()
 	if len(g.shardIDs) == 0 {
-		return true, nil // read nothing, wrote nothing
+		return true, "", nil // read nothing, wrote nothing
 	}
 	for _, s := range g.shardIDs {
 		r.locks[s].Lock()
@@ -339,6 +333,9 @@ func (r *Router) tryCommit(g *gatherTx) (committed bool, err error) {
 			r.locks[g.shardIDs[i]].Unlock()
 		}
 	}()
+	if r.closed != nil {
+		return false, "", r.closed
+	}
 	var tok uint64
 	if !r.noFences {
 		tok = r.fenceSeq.Add(1)
@@ -347,11 +344,11 @@ func (r *Router) tryCommit(g *gatherTx) (committed bool, err error) {
 		// never strand a key fenced.
 		defer r.unfenceAll(g, tok)
 	}
-	ok, err := r.prepare(g, tok)
+	ok, split, err := r.prepare(g, tok)
 	if err != nil || !ok {
-		return false, err
+		return false, split, err
 	}
-	return true, r.apply(g, tok)
+	return true, "", r.apply(g, tok)
 }
 
 // prepare validates the round under the shard commit locks. With fences
@@ -373,8 +370,8 @@ func (r *Router) tryCommit(g *gatherTx) (committed bool, err error) {
 // splits a fenced key, so retrying is enough to get ahead of it.
 //
 // prepare returns ok=false (retry from gather) for stale values,
-// foreign fences, and split keys alike.
-func (r *Router) prepare(g *gatherTx, tok uint64) (bool, error) {
+// foreign fences, and split keys alike; split names a split key.
+func (r *Router) prepare(g *gatherTx, tok uint64) (ok bool, split string, err error) {
 	if tok != 0 {
 		fenced := 0
 		for si, s := range g.shardIDs {
@@ -382,14 +379,14 @@ func (r *Router) prepare(g *gatherTx, tok uint64) (bool, error) {
 			for _, rd := range g.shardReads(si) {
 				rec, _ := st.GetOrCreate(rd.key)
 				if !rec.Fence(tok) {
-					return false, nil // another cross-shard commit owns it
+					return false, "", nil // another cross-shard commit owns it
 				}
 				fenced++
 			}
 			for _, wr := range g.shardWrites(si) {
 				rec, _ := st.GetOrCreate(wr.key)
 				if !rec.Fence(tok) {
-					return false, nil
+					return false, "", nil
 				}
 				fenced++
 			}
@@ -399,12 +396,12 @@ func (r *Router) prepare(g *gatherTx, tok uint64) (bool, error) {
 			sh := r.shards[s]
 			for _, rd := range g.shardReads(si) {
 				if sh.SplitActive(rd.key) {
-					return false, nil
+					return false, rd.key, nil
 				}
 			}
 			for _, wr := range g.shardWrites(si) {
 				if sh.SplitActive(wr.key) {
-					return false, nil
+					return false, wr.key, nil
 				}
 			}
 		}
@@ -421,11 +418,11 @@ func (r *Router) prepare(g *gatherTx, tok uint64) (bool, error) {
 			cur := rec.Value()
 			rec.Unlock()
 			if !cur.Equal(rd.val) {
-				return false, nil
+				return false, "", nil
 			}
 		}
 	}
-	return true, nil
+	return true, "", nil
 }
 
 // apply commits the buffered writes: one shard transaction per shard
