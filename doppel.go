@@ -166,24 +166,34 @@ type DB struct {
 type request struct {
 	fn     TxFunc
 	submit int64
-	done   chan error      // synchronous completion (Exec)
-	cb     func(error)     // asynchronous completion (ExecAsync); nil for Exec
+	done   chan error      // synchronous completion (ExecContext); made once per pooled request
+	cb     func(error)     // asynchronous completion (ExecAsync); nil for ExecContext
 	ctx    context.Context // nil means not cancellable (Exec, ExecAsync)
 }
 
-// asyncRequests pools ExecAsync's requests. Only those are recycled:
-// an ExecContext caller that gives up on cancellation abandons its
-// request while a worker may still hold it.
-var asyncRequests = sync.Pool{New: func() any { return new(request) }}
+// requests pools the requests of ExecAsync and ExecContext alike; each
+// keeps its 1-buffered done channel across uses. A request is recycled
+// only once nothing else will touch it: an ExecAsync request at its
+// completion, an ExecContext request once its caller has received the
+// outcome (or it was never queued). An ExecContext caller that gives up
+// on cancellation abandons its request while a worker may still hold
+// it, and the GC takes it.
+var requests = sync.Pool{New: func() any { return &request{done: make(chan error, 1)} }}
+
+// recycle clears req, keeping its done channel, and pools it.
+func (req *request) recycle() {
+	*req = request{done: req.done}
+	requests.Put(req)
+}
 
 // Complete implements core.Completion: it reports the request's outcome
 // through whichever completion mechanism the submitter chose. It is the
-// last use of req: an ExecAsync request goes back to the pool before its
-// callback runs.
+// last use of req by the worker: an ExecAsync request goes back to the
+// pool before its callback runs, and an ExecContext waiter may recycle
+// its request as soon as it receives from done.
 func (req *request) Complete(err error) {
 	if cb := req.cb; cb != nil {
-		*req = request{}
-		asyncRequests.Put(req)
+		req.recycle()
 		cb(err)
 		return
 	}
@@ -362,19 +372,32 @@ func (db *DB) Exec(fn TxFunc) error {
 // cannot be un-happened), and a cancellation that fires during it makes
 // ExecContext return ctx's error even though the transaction may still
 // commit. Use Exec when that ambiguity is unacceptable.
+//
+// Like ExecAsync it allocates nothing of its own in steady state: the
+// request and its done channel come from a pool, and the request goes
+// back once the outcome has been received. A request whose caller
+// returned on cancellation may still be held by a worker, so it is
+// left to the GC instead.
+//
+//doppel:hotpath
 func (db *DB) ExecContext(ctx context.Context, fn TxFunc) error {
-	req := &request{fn: fn, submit: engine.Now(), done: make(chan error, 1)}
+	req := requests.Get().(*request)
+	req.fn, req.submit = fn, engine.Now()
 	if ctx.Done() != nil {
 		req.ctx = ctx
 	}
 	if err := db.enqueue(req); err != nil {
+		req.recycle()
 		return err
 	}
 	if req.ctx == nil {
-		return <-req.done
+		err := <-req.done
+		req.recycle()
+		return err
 	}
 	select {
 	case err := <-req.done:
+		req.recycle()
 		return err
 	case <-ctx.Done():
 		// The worker still owns the request; its completion send lands in
@@ -394,7 +417,7 @@ func (db *DB) ExecContext(ctx context.Context, fn TxFunc) error {
 //
 //doppel:hotpath
 func (db *DB) ExecAsync(fn TxFunc, done func(error)) {
-	req := asyncRequests.Get().(*request)
+	req := requests.Get().(*request)
 	req.fn, req.submit, req.cb = fn, engine.Now(), done
 	if err := db.enqueue(req); err != nil {
 		req.Complete(err)

@@ -161,3 +161,32 @@ func TestHeldRequestDroppedAfterMaxReplays(t *testing.T) {
 		t.Fatalf("request after the drop: completions %v, want one nil", next)
 	}
 }
+
+// TestReplaysCountAsAttempts: every run of a held request counts in the
+// classifier's attempt window, not only its first. Replays take
+// conflict samples like first attempts do, so leaving them out of the
+// denominator would inflate the conflict fraction decideNextSplit
+// computes.
+func TestReplaysCountAsAttempts(t *testing.T) {
+	const k = 5
+	db := manualDB(1)
+	t.Cleanup(db.Close)
+	runs := 0
+	body := func(tx engine.Tx) error {
+		if runs++; runs <= k {
+			return engine.ErrAbort
+		}
+		return tx.PutInt("k", 1)
+	}
+	var done outcomes
+	db.Run(0, body, 0, &done)
+	for i := 0; i < k && len(done) == 0; i++ {
+		db.Poll(0)
+	}
+	if len(done) != 1 || done[0] != nil || runs != k+1 {
+		t.Fatalf("completions %v after %d runs, want one nil after %d", done, runs, k+1)
+	}
+	if got := db.workers[0].attemptsWindow.Load(); got != k+1 {
+		t.Fatalf("attemptsWindow = %d after a held request replayed %d times, want %d", got, k, k+1)
+	}
+}

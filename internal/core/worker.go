@@ -105,7 +105,7 @@ type Worker struct {
 	awaitsUnlock atomic.Bool
 
 	// Cross-thread counters read by the coordinator.
-	attemptsWindow   atomic.Uint64 // attempts since the classifier last looked
+	attemptsWindow   atomic.Uint64 // runs, replays included, since the classifier last looked
 	sliceWritesPhase atomic.Uint64 // slice writes since the phase began or was extended
 
 	// Classifier samples, guarded by statsMu (worker writes, coordinator
@@ -396,7 +396,6 @@ func (w *Worker) attempt(fn engine.TxFunc, submitNanos int64, done Completion) (
 		w.flushAcks() // the acknowledged transition may have reconciled
 		return engine.Paused, nil
 	}
-	w.attemptsWindow.Add(1)
 	h := held{fn: fn, submit: submitNanos, done: done}
 	out, err := w.execOnce(h)
 	if done != nil {
@@ -419,7 +418,9 @@ func (w *Worker) poll() {
 
 // execOnce runs h once in the current phase and classifies the outcome.
 // A transaction that stashes is appended to the stash with its
-// completion.
+// completion. Every run counts in attemptsWindow, replays of held
+// requests included: they take conflict samples too, and the
+// classifier's conflict fraction divides one by the other.
 func (w *Worker) execOnce(h held) (engine.Outcome, error) {
 	// Fail-stop: once the redo logger is terminally dead, new
 	// transactions must not keep acknowledging as durable. Failed() is
@@ -427,6 +428,7 @@ func (w *Worker) execOnce(h held) (engine.Outcome, error) {
 	if cfg := &w.db.cfg; cfg.WALFailStop && cfg.Redo != nil && cfg.Redo.Failed() {
 		return engine.UserAbort, fmt.Errorf("core: redo log failed, refusing new transactions: %w", cfg.Redo.Err())
 	}
+	w.attemptsWindow.Add(1)
 	tx := &w.tx
 	tx.reset(w)
 	err := h.fn(tx)

@@ -15,7 +15,8 @@
 // key range as it executes. A transaction that stays on its shard
 // commits on the embedded fast path — the check is one hash compare per
 // operation, and the routing state is pooled, so the steady-state path
-// adds no allocation.
+// adds no allocation. The cross-shard path below adds none either (see
+// Pooled frames).
 //
 // A read of a foreign key stays in place as long as the attempt has
 // written nothing: the router reads the owning shard's record directly
@@ -64,6 +65,28 @@
 //     transaction declares the fence token it owns (engine.FenceTx) so
 //     it passes its own fences. When every apply lands, fences release,
 //     then the commit locks.
+//
+// # Pooled frames
+//
+// Each routed transaction runs on a pooled routedCall, and each
+// cross-shard one on a pooled crossCall. A crossCall owns the gather
+// transaction with its read and write sets, read index and grouping
+// scratch; the gather-read body; one apply body and one completion per
+// shard; and the commit fan-out's WaitGroup and first error. The bodies
+// and completions are bound once, when the frame is built, and the
+// sets are cleared and reused. The gather reads go through the shard's
+// ExecContext, which draws its request and done channel from a pool
+// too, and an ExecAsync transaction that reroutes starts its goroutine
+// through a func bound on its crossCall. In steady state a transaction
+// therefore allocates only what its body creates, such as the values
+// it writes.
+//
+// A frame goes back to its pool only once no shard can still run its
+// bodies. apply waits for every shard's completion, but a caller whose
+// context ends stops waiting on a shard that may still hold its
+// request: a routedCall or crossCall whose transaction ended on a
+// context error is abandoned to the GC, never pooled, and so is the
+// shard request.
 //
 // # Commit fences
 //

@@ -94,9 +94,11 @@ type Router struct {
 	// single-shard traffic never touches them.
 	locks []sync.Mutex
 
-	// calls pools routedCall frames so the single-shard path allocates
-	// nothing in steady state.
-	calls sync.Pool
+	// calls pools routedCall frames and crosses crossCall frames, so
+	// neither the single-shard path nor the cross-shard one allocates
+	// anything of its own in steady state.
+	calls   sync.Pool
+	crosses sync.Pool
 
 	// fenceSeq generates commit-fence tokens. Tokens only need to be
 	// unique among in-flight cross-shard commits, but a global counter is
@@ -139,6 +141,7 @@ func New(shards []Shard, part Partitioner, stats *metrics.RouterStats) *Router {
 		locks:  make([]sync.Mutex, len(shards)),
 	}
 	r.calls.New = func() any { return newRoutedCall(r) }
+	r.crosses.New = func() any { return newCrossCall(r) }
 	return r
 }
 
@@ -179,7 +182,7 @@ func (r *Router) ExecContext(ctx context.Context, fn engine.TxFunc) error {
 	rc := r.calls.Get().(*routedCall)
 	shard := rc.route(fn)
 	err := r.shards[shard].ExecContext(ctx, rc.run)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+	if isContextErr(err) {
 		// The shard may still be executing rc.run: the frame cannot be
 		// pooled (or even read) safely. Abandon it to the GC.
 		return err
@@ -222,10 +225,4 @@ func (r *Router) ExecAsync(fn engine.TxFunc, done func(error)) {
 	shard := rc.route(fn)
 	rc.done = done
 	r.shards[shard].ExecAsync(rc.run, rc.complete)
-}
-
-// execCrossAsync runs fn through the cross-shard protocol and reports
-// the outcome to done.
-func (r *Router) execCrossAsync(fn engine.TxFunc, done func(error)) {
-	done(r.execCross(context.Background(), fn))
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,9 +16,11 @@ import (
 )
 
 // fakeShard is the smallest Shard the router can run on: a one-worker
-// core.DB driven from the caller's goroutine, one transaction at a
-// time. Phases move only when a test asks (PhaseLength 0), except that
-// a transaction that stashes ends the split phase at once so its replay
+// core.DB driven from the caller's goroutine, one attempt at a time.
+// Between the attempts of a transaction that aborted the shard is free
+// for others, as a worker serves its queue while a request is parked.
+// Phases move only when a test asks (PhaseLength 0), except that a
+// transaction that stashes ends the split phase at once so its replay
 // can finish.
 type fakeShard struct {
 	mu    sync.Mutex
@@ -33,30 +36,40 @@ func newFakeShard() *fakeShard {
 
 func (f *fakeShard) ExecContext(ctx context.Context, fn engine.TxFunc) error {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.execs++
+	f.mu.Unlock()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		out, err := f.db.Attempt(0, fn, engine.Now())
-		switch out {
-		case engine.Committed:
-			return nil
-		case engine.UserAbort:
+		if done, err := f.attempt(fn); done {
 			return err
-		case engine.Stashed:
-			// Attempt drops the replay's own error.
-			f.db.RequestJoinedPhase()
-			for f.db.StashLen(0) > 0 {
-				f.db.Poll(0)
-				runtime.Gosched()
-			}
-			return nil
-		default: // Aborted, AbortedFenced, Paused
+		}
+		runtime.Gosched()
+	}
+}
+
+// attempt runs fn once; done reports that it finished with err.
+func (f *fakeShard) attempt(fn engine.TxFunc) (done bool, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out, err := f.db.Attempt(0, fn, engine.Now())
+	switch out {
+	case engine.Committed:
+		return true, nil
+	case engine.UserAbort:
+		return true, err
+	case engine.Stashed:
+		// Attempt drops the replay's own error.
+		f.db.RequestJoinedPhase()
+		for f.db.StashLen(0) > 0 {
 			f.db.Poll(0)
 			runtime.Gosched()
 		}
+		return true, nil
+	default: // Aborted, AbortedFenced, Paused
+		f.db.Poll(0)
+		return false, nil
 	}
 }
 
@@ -394,13 +407,15 @@ func TestPrepareRejectsStaleGather(t *testing.T) {
 		}
 		return tx.PutInt(b, y+1)
 	}
-	g := &gatherTx{r: r, ctx: context.Background()}
+	cc := newCrossCall(r)
+	g := &cc.g
+	g.ctx = context.Background()
 	g.reset()
 	if err := transfer(g); err != nil {
 		t.Fatal(err)
 	}
 	seed(t, r, b, 50)
-	committed, _, err := r.tryCommit(g)
+	committed, _, err := r.tryCommit(cc)
 	if err != nil || committed {
 		t.Fatalf("tryCommit over a stale gather = %v, %v; want false, nil", committed, err)
 	}
@@ -416,7 +431,7 @@ func TestPrepareRejectsStaleGather(t *testing.T) {
 	if err := transfer(g); err != nil {
 		t.Fatal(err)
 	}
-	if committed, _, err := r.tryCommit(g); err != nil || !committed {
+	if committed, _, err := r.tryCommit(cc); err != nil || !committed {
 		t.Fatalf("tryCommit over a fresh gather = %v, %v; want true, nil", committed, err)
 	}
 	if x, y := fakes[0].value(t, a), fakes[1].value(t, b); x != 4 || y != 51 {
@@ -489,5 +504,118 @@ func TestClosedRouterRefusesRoundsBeforeFencing(t *testing.T) {
 	}
 	if st := r.Stats(); st.CrossShardApplyLost != 0 || st.CrossShard != 0 {
 		t.Errorf("stats %+v, want no commit and no lost apply", st)
+	}
+}
+
+// heldShard wraps a fakeShard so that one ExecContext call can be held
+// as if queued: once hold is set, the next call hands its body to a
+// goroutine that runs it after release is closed, and the call itself
+// returns early if its context ends. That is what a doppel shard does
+// with a request whose caller gave up while a worker still holds it.
+type heldShard struct {
+	*fakeShard
+	hold    atomic.Bool
+	held    chan struct{} // closed once a call is held
+	release chan struct{} // closed by the test to run the held body
+	ran     chan struct{} // closed after the held body ran
+}
+
+func (h *heldShard) ExecContext(ctx context.Context, fn engine.TxFunc) error {
+	if !h.hold.CompareAndSwap(true, false) {
+		return h.fakeShard.ExecContext(ctx, fn)
+	}
+	res := make(chan error, 1)
+	go func() {
+		defer close(h.ran)
+		<-h.release
+		res <- h.fakeShard.ExecContext(context.Background(), fn)
+	}()
+	close(h.held)
+	select {
+	case err := <-res:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestCancelledGatherAbandonsFrame: a cross-shard transaction cancelled
+// while its gather read is still queued on a shard returns the
+// context's error, and its pooled frame, which that shard still holds,
+// is never handed to another transaction. The held read runs while
+// 1,000 later cross-shard transfers do; none of them is given the
+// abandoned frame, none of their rounds is refused, and the balances
+// show every later transfer and nothing of the cancelled one.
+func TestCancelledGatherAbandonsFrame(t *testing.T) {
+	fakes := [2]*fakeShard{newFakeShard(), newFakeShard()}
+	for _, f := range fakes {
+		t.Cleanup(f.db.Close)
+	}
+	hs := &heldShard{
+		fakeShard: fakes[1],
+		held:      make(chan struct{}),
+		release:   make(chan struct{}),
+		ran:       make(chan struct{}),
+	}
+	r := New([]Shard{fakes[0], hs}, nil, nil)
+	a, b := keyOn(r, 0, "a"), keyOn(r, 1, "b")
+	seed(t, r, a, 5000)
+	seed(t, r, b, 0)
+	var abandoned *gatherTx
+	transfer := func(n int64, frame func(g *gatherTx)) engine.TxFunc {
+		return func(tx engine.Tx) error {
+			if g, ok := tx.(*gatherTx); ok {
+				frame(g)
+			}
+			x, err := tx.GetInt(a)
+			if err != nil {
+				return err
+			}
+			y, err := tx.GetInt(b)
+			if err != nil {
+				return err
+			}
+			if err := tx.PutInt(a, x-n); err != nil {
+				return err
+			}
+			return tx.PutInt(b, y+n)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	hs.hold.Store(true)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- r.ExecContext(ctx, transfer(1000, func(g *gatherTx) { abandoned = g }))
+	}()
+	<-hs.held
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled transfer returned %v, want context.Canceled", err)
+	}
+
+	reused := 0
+	later := transfer(1, func(g *gatherTx) {
+		if g == abandoned {
+			reused++
+		}
+	})
+	for i := 0; i < 1000; i++ {
+		if i == 10 {
+			close(hs.release) // the held gather read runs among the rest
+		}
+		if err := r.ExecContext(context.Background(), later); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-hs.ran
+	if reused != 0 {
+		t.Errorf("%d later gather runs were given the abandoned frame", reused)
+	}
+	if x, y := fakes[0].value(t, a), fakes[1].value(t, b); x != 4000 || y != 1000 {
+		t.Errorf("balances %s=%d %s=%d, want 4000 and 1000", a, x, b, y)
+	}
+	if st := r.Stats(); st.CrossShard != 1000 || st.CrossShardRetries != 0 || st.CrossShardApplyLost != 0 {
+		t.Errorf("stats %+v, want 1000 2PC commits and no refused round", st)
 	}
 }

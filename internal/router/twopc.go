@@ -33,9 +33,118 @@ type gatherWrite struct {
 	op    store.Op
 }
 
+// crossCall is the pooled frame of one cross-shard transaction, the
+// counterpart of routedCall. It owns the gather transaction with all of
+// its scratch, the gather-read body, one apply body and completion per
+// shard, and the commit fan-out's WaitGroup and first error. All of
+// them are built once, when the frame is first pooled, and reused, so
+// a cross-shard commit adds no allocation of its own in steady state.
+//
+// Ownership: a shard may run the frame's bodies until it reports their
+// completion. apply waits for every completion, but a gather read whose
+// caller gave up on a cancelled context stays with its shard, so a
+// frame whose run ends on a context error is abandoned to the GC and
+// never pooled (execCross).
+type crossCall struct {
+	r  *Router
+	fn engine.TxFunc
+	g  gatherTx
+
+	done     func(error) // the async caller's callback
+	runAsync func()      // cc.execAsync, bound once for finishAsync's go statement
+
+	tok     uint64       // the commit round's fence token
+	applies []shardApply // per shard ID
+	wg      sync.WaitGroup
+	mu      sync.Mutex // guards first among concurrent completions
+	first   error
+}
+
+func newCrossCall(r *Router) *crossCall {
+	cc := &crossCall{r: r, applies: make([]shardApply, len(r.shards))}
+	cc.g = gatherTx{r: r, readIdx: make(map[string]int, 8)}
+	cc.g.readBody = cc.g.readShard
+	cc.runAsync = cc.execAsync
+	for s := range cc.applies {
+		a := &cc.applies[s]
+		a.cc, a.shard = cc, s
+		a.body, a.complete = a.run, a.finish
+	}
+	return cc
+}
+
+// execAsync is the body of the goroutine finishAsync starts for a
+// rerouted ExecAsync transaction. Its context never ends, so no gather
+// read is abandoned and the frame always goes back to the pool.
+//
+//doppel:hotpath
+func (cc *crossCall) execAsync() {
+	err := cc.run(context.Background())
+	done := cc.done
+	cc.release()
+	done(err)
+}
+
+func (cc *crossCall) release() {
+	cc.fn, cc.done = nil, nil
+	cc.g.release()
+	cc.r.crosses.Put(cc)
+}
+
+// shardApply is one shard's commit-stage transaction in a crossCall:
+// apply points reads and writes at the shard's grouped sets before
+// each fan-out, and body and complete are bound once.
+type shardApply struct {
+	cc       *crossCall
+	shard    int
+	reads    []gatherRead
+	writes   []gatherWrite
+	body     engine.TxFunc // a.run
+	complete func(error)   // a.finish
+}
+
+// run revalidates the shard's gathered reads and replays its writes as
+// the owner of the round's fences.
+//
+//doppel:hotpath
+func (a *shardApply) run(tx engine.Tx) error {
+	if tok := a.cc.tok; tok != 0 {
+		if ft, ok := tx.(engine.FenceTx); ok {
+			ft.SetFenceToken(tok)
+		}
+	}
+	for _, rd := range a.reads {
+		cur, err := tx.Get(rd.key)
+		if err != nil {
+			return err
+		}
+		if !cur.Equal(rd.val) {
+			return errApplyStale
+		}
+	}
+	return replayOps(tx, a.writes)
+}
+
+// finish is the shard's completion: it records the first failure and
+// releases apply's wait. wg.Done is its last touch of the frame.
+//
+//doppel:hotpath
+func (a *shardApply) finish(err error) {
+	cc := a.cc
+	if err != nil {
+		cc.r.stats.CrossShardApplyLost.Add(1)
+		cc.mu.Lock()
+		if cc.first == nil {
+			cc.first = fmt.Errorf("router: cross-shard commit applied partially (shard %d failed): %w", a.shard, err)
+		}
+		cc.mu.Unlock()
+	}
+	cc.wg.Done()
+}
+
 // gatherTx implements engine.Tx for the gather stage of the cross-shard
 // protocol: reads dispatch to the owning shard, writes buffer. It is
-// not concurrency-safe; each cross-shard transaction owns one.
+// not concurrency-safe; each crossCall owns one and reuses it.
 type gatherTx struct {
 	r      *Router
 	ctx    context.Context
@@ -49,11 +158,17 @@ type gatherTx struct {
 	// caller gets, even if the body swallows the error it was handed.
 	infra error
 
+	// The gather read's shard body (readShard, bound once) takes its
+	// key from readKey and leaves the value in readVal.
+	readKey  string
+	readVal  *store.Value
+	readBody engine.TxFunc
+
 	// Per-shard grouping scratch, rebuilt by group() each commit round
-	// and reused across rounds so retries stay allocation-bounded:
-	// shardIDs lists the touched shards ascending; readsBy/writesBy hold
-	// the read/write sets regrouped by shard, delimited by the offset
-	// arrays (readOff/writeOff have len(shardIDs)+1 entries).
+	// and reused across rounds and transactions: shardIDs lists the
+	// touched shards ascending; readsBy/writesBy hold the read/write
+	// sets regrouped by shard, delimited by the offset arrays
+	// (readOff/writeOff have len(shardIDs)+1 entries).
 	shardIDs []int
 	readsBy  []gatherRead
 	writesBy []gatherWrite
@@ -61,21 +176,42 @@ type gatherTx struct {
 	writeOff []int
 }
 
+// reset empties the read and write sets for a new gather run. Clearing
+// the entries before truncating drops their keys and values, which a
+// pooled frame would otherwise keep alive.
 func (g *gatherTx) reset() {
+	clear(g.reads)
 	g.reads = g.reads[:0]
+	clear(g.writes)
 	g.writes = g.writes[:0]
-	if g.readIdx == nil {
-		g.readIdx = make(map[string]int, 8)
-	} else {
-		clear(g.readIdx)
-	}
+	clear(g.readIdx)
 	g.infra = nil
+}
+
+// release empties g, grouping scratch included, before its frame goes
+// back to the pool.
+func (g *gatherTx) release() {
+	g.reset()
+	clear(g.readsBy)
+	clear(g.writesBy)
+	g.ctx, g.readKey, g.readVal = nil, "", nil
+}
+
+// readShard is the gather read's shard transaction.
+//
+//doppel:hotpath
+func (g *gatherTx) readShard(tx engine.Tx) error {
+	v, err := tx.Get(g.readKey)
+	g.readVal = v
+	return err
 }
 
 // load returns key's value as this transaction sees it: the gathered
 // shard value (fetched on first access, then reused) with this
 // transaction's own buffered writes overlaid, so reads-after-writes
 // behave as in a single-shard transaction.
+//
+//doppel:hotpath
 func (g *gatherTx) load(key string) (*store.Value, error) {
 	if g.infra != nil {
 		return nil, g.infra
@@ -85,16 +221,12 @@ func (g *gatherTx) load(key string) (*store.Value, error) {
 		base = g.reads[i].val
 	} else {
 		shard := g.r.ShardOf(key)
-		var v *store.Value
-		err := g.r.shards[shard].ExecContext(g.ctx, func(tx engine.Tx) error {
-			got, err := tx.Get(key)
-			v = got
-			return err
-		})
-		if err != nil {
+		g.readKey = key
+		if err := g.r.shards[shard].ExecContext(g.ctx, g.readBody); err != nil {
 			g.infra = err
 			return nil, err
 		}
+		v := g.readVal
 		g.readIdx[key] = len(g.reads)
 		g.reads = append(g.reads, gatherRead{shard: shard, key: key, val: v})
 		base = v
@@ -118,6 +250,8 @@ func (g *gatherTx) load(key string) (*store.Value, error) {
 // commit-stage replay type-safe by construction: prepare revalidates
 // the value the operation was type-checked against, so a validated
 // round cannot hit an Apply type error at apply time.
+//
+//doppel:hotpath
 func (g *gatherTx) update(key string, op store.Op) error {
 	cur, err := g.load(key)
 	if err != nil {
@@ -171,6 +305,9 @@ func (g *gatherTx) GetTopK(key string) ([]store.TopKEntry, error) {
 	return t.Entries(), nil
 }
 
+// Put buffers a blind write.
+//
+//doppel:hotpath
 func (g *gatherTx) Put(key string, v *store.Value) error {
 	if g.infra != nil {
 		return g.infra
@@ -224,24 +361,17 @@ func (g *gatherTx) WorkerID() int { return -1 }
 // group rebuilds the per-shard view of the gathered read and write sets
 // into the reused scratch: shardIDs (sorted ascending — the lock
 // acquisition order) plus the regrouped slices served by shardReads and
-// shardWrites. One call per commit round replaces the per-stage
-// slice-building the old prepare/apply did (three fresh allocations per
-// shard per round).
+// shardWrites. One call per commit round; once the frame's scratch has
+// grown to the transaction's size it allocates nothing.
+//
+//doppel:hotpath
 func (g *gatherTx) group() {
 	g.shardIDs = g.shardIDs[:0]
-	addShard := func(s int) {
-		for _, have := range g.shardIDs {
-			if have == s {
-				return
-			}
-		}
-		g.shardIDs = append(g.shardIDs, s)
-	}
 	for i := range g.reads {
-		addShard(g.reads[i].shard)
+		g.addShard(g.reads[i].shard)
 	}
 	for i := range g.writes {
-		addShard(g.writes[i].shard)
+		g.addShard(g.writes[i].shard)
 	}
 	sort.Ints(g.shardIDs)
 	g.readsBy = g.readsBy[:0]
@@ -266,6 +396,16 @@ func (g *gatherTx) group() {
 	g.writeOff = append(g.writeOff, len(g.writesBy))
 }
 
+// addShard adds s to shardIDs unless it is there already.
+func (g *gatherTx) addShard(s int) {
+	for _, have := range g.shardIDs {
+		if have == s {
+			return
+		}
+	}
+	g.shardIDs = append(g.shardIDs, s)
+}
+
 // shardReads returns the reads on g.shardIDs[i], grouped by group().
 // Writes within a shard keep their buffered order, which replay relies
 // on for multiple operations against one key.
@@ -278,16 +418,38 @@ func (g *gatherTx) shardWrites(i int) []gatherWrite {
 	return g.writesBy[g.writeOff[i]:g.writeOff[i+1]]
 }
 
-// execCross runs fn through the cross-shard protocol: gather, then
+// execCross runs fn through the cross-shard protocol on a pooled
+// frame. A run that ends on a context error may have left a gather read
+// queued on its shard, still bound to the frame, so that frame is
+// abandoned to the GC instead of pooled.
+func (r *Router) execCross(ctx context.Context, fn engine.TxFunc) error {
+	cc := r.crosses.Get().(*crossCall)
+	cc.fn = fn
+	err := cc.run(ctx)
+	if isContextErr(err) {
+		return err
+	}
+	cc.release()
+	return err
+}
+
+// isContextErr reports whether err is a context's cancellation or
+// deadline.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// run executes cc.fn through the cross-shard protocol: gather, then
 // prepare+commit under the shard locks. A refused round re-gathers at
 // once: a gather read of split data stashes on its shard until the
 // joined phase, so a split key the body never read (a blind Put's) is
 // read here first.
-func (r *Router) execCross(ctx context.Context, fn engine.TxFunc) error {
-	g := &gatherTx{r: r, ctx: ctx}
+func (cc *crossCall) run(ctx context.Context) error {
+	r, g := cc.r, &cc.g
+	g.ctx = ctx
 	for {
 		g.reset()
-		err := fn(g)
+		err := cc.fn(g)
 		if g.infra != nil {
 			return g.infra
 		}
@@ -295,7 +457,7 @@ func (r *Router) execCross(ctx context.Context, fn engine.TxFunc) error {
 			r.stats.CrossShardAborts.Add(1)
 			return err
 		}
-		committed, split, err := r.tryCommit(g)
+		committed, split, err := r.tryCommit(cc)
 		if err != nil {
 			return err
 		}
@@ -315,12 +477,13 @@ func (r *Router) execCross(ctx context.Context, fn engine.TxFunc) error {
 	}
 }
 
-// tryCommit runs one prepare+commit round under the shard locks.
-// committed=false with a nil error means prepare found a stale read, a
-// foreign fence, or split data (split then names the key); the caller
-// retries from gather. After Close, a round fails with the closing
-// error before it fences anything.
-func (r *Router) tryCommit(g *gatherTx) (committed bool, split string, err error) {
+// tryCommit runs one prepare+commit round of cc's gathered transaction
+// under the shard locks. committed=false with a nil error means prepare
+// found a stale read, a foreign fence, or split data (split then names
+// the key); the caller retries from gather. After Close, a round fails
+// with the closing error before it fences anything.
+func (r *Router) tryCommit(cc *crossCall) (committed bool, split string, err error) {
+	g := &cc.g
 	g.group()
 	if len(g.shardIDs) == 0 {
 		return true, "", nil // read nothing, wrote nothing
@@ -348,7 +511,7 @@ func (r *Router) tryCommit(g *gatherTx) (committed bool, split string, err error
 	if err != nil || !ok {
 		return false, split, err
 	}
-	return true, "", r.apply(g, tok)
+	return true, "", r.apply(cc, tok)
 }
 
 // prepare validates the round under the shard commit locks. With fences
@@ -436,53 +599,28 @@ func (r *Router) prepare(g *gatherTx, tok uint64) (ok bool, split string, err er
 // clear either ran wholly before prepare or wholly after the last
 // apply.
 //
-// Fan-out uses ExecAsync so shards apply concurrently. A revalidation
-// mismatch inside apply is a fence-protocol invariant violation
-// (errApplyStale), counted in CrossShardApplyLost.
-func (r *Router) apply(g *gatherTx, tok uint64) error {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
+// Fan-out uses ExecAsync with the frame's bound per-shard bodies and
+// completions, so shards apply concurrently, and apply returns only
+// after every shard has completed. A revalidation mismatch inside apply
+// is a fence-protocol invariant violation (errApplyStale), counted in
+// CrossShardApplyLost.
+//
+//doppel:hotpath
+func (r *Router) apply(cc *crossCall, tok uint64) error {
+	g := &cc.g
+	cc.tok, cc.first = tok, nil
 	for si, s := range g.shardIDs {
 		writes := g.shardWrites(si)
 		if len(writes) == 0 {
 			continue
 		}
-		reads := g.shardReads(si)
-		shard := s
-		wg.Add(1)
-		r.shards[s].ExecAsync(func(tx engine.Tx) error {
-			if tok != 0 {
-				if ft, ok := tx.(engine.FenceTx); ok {
-					ft.SetFenceToken(tok)
-				}
-			}
-			for _, rd := range reads {
-				cur, err := tx.Get(rd.key)
-				if err != nil {
-					return err
-				}
-				if !cur.Equal(rd.val) {
-					return errApplyStale
-				}
-			}
-			return replayOps(tx, writes)
-		}, func(err error) {
-			if err != nil {
-				r.stats.CrossShardApplyLost.Add(1)
-				mu.Lock()
-				if first == nil {
-					first = fmt.Errorf("router: cross-shard commit applied partially (shard %d failed): %w", shard, err)
-				}
-				mu.Unlock()
-			}
-			wg.Done()
-		})
+		a := &cc.applies[s]
+		a.reads, a.writes = g.shardReads(si), writes
+		cc.wg.Add(1)
+		r.shards[s].ExecAsync(a.body, a.complete)
 	}
-	wg.Wait()
-	return first
+	cc.wg.Wait()
+	return cc.first
 }
 
 // unfenceAll releases this round's fences. Unfence is token-guarded, so

@@ -47,7 +47,9 @@ func newRoutedCall(r *Router) *routedCall {
 // releases the frame and reports the outcome. A body that turned out to
 // span shards, or whose in-place foreign reads no longer validate, is
 // re-executed through the cross-shard protocol on a fresh goroutine, so
-// the shard worker that detected it is never captured.
+// the shard worker that detected it is never captured. The goroutine
+// runs a pooled crossCall's bound execAsync, so starting it allocates
+// no closure.
 //
 //doppel:hotpath
 func (rc *routedCall) finishAsync(err error) {
@@ -60,7 +62,9 @@ func (rc *routedCall) finishAsync(err error) {
 		done(nil)
 	case errors.Is(err, errCrossShard) || foreign:
 		r.stats.Reroutes.Add(1)
-		go r.execCrossAsync(fn, done)
+		cc := r.crosses.Get().(*crossCall)
+		cc.fn, cc.done = fn, done
+		go cc.runAsync()
 	default:
 		done(err)
 	}

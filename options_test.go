@@ -3,7 +3,10 @@ package doppel
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -197,6 +200,89 @@ func TestExecContextCancelWhileQueued(t *testing.T) {
 	}
 	close(release)
 	if err := <-hold; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExecContextCancelledRequestNotReused: ExecContext's requests are
+// pooled, but one whose caller returned on cancellation is still in the
+// worker's queue and must never be handed out again. The worker reaches
+// it while 1,000 later ExecContext calls, cancellable or not, run
+// behind it: the cancelled body never runs, and every later body runs
+// exactly once and its caller gets that body's own outcome.
+func TestExecContextCancelledRequestNotReused(t *testing.T) {
+	db := Open(Options{Workers: 1})
+	defer db.Close()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	db.ExecAsync(func(tx Tx) error {
+		close(started)
+		<-release
+		return nil
+	}, func(error) {})
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var cancelledRuns atomic.Int32
+	errc := make(chan error, 1)
+	go func() {
+		errc <- db.ExecContext(ctx, func(tx Tx) error {
+			cancelledRuns.Add(1)
+			return tx.PutInt("cancelled", 1)
+		})
+	}()
+	for len(db.queues[0]) == 0 {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ExecContext = %v, want context.Canceled", err)
+	}
+	close(release)
+
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	const n = 1000
+	var runs [n]atomic.Int32
+	for i := 0; i < n; i++ {
+		var want error
+		if i%3 == 0 {
+			want = fmt.Errorf("body %d", i)
+		}
+		c := context.Background()
+		if i%2 == 1 {
+			c = live
+		}
+		got := db.ExecContext(c, func(tx Tx) error {
+			runs[i].Add(1)
+			if want != nil {
+				return want
+			}
+			return tx.Add("sum", 1)
+		})
+		if got != want {
+			t.Fatalf("call %d returned %v, want %v", i, got, want)
+		}
+	}
+	for i := range runs {
+		if r := runs[i].Load(); r != 1 {
+			t.Fatalf("body %d ran %d times, want 1", i, r)
+		}
+	}
+	if r := cancelledRuns.Load(); r != 0 {
+		t.Fatalf("the cancelled body ran %d times, want 0", r)
+	}
+	err := db.Exec(func(tx Tx) error {
+		if v, err := tx.Get("cancelled"); err != nil || v != nil {
+			return fmt.Errorf("cancelled write visible: %v, %v", v, err)
+		}
+		sum, err := tx.GetInt("sum")
+		if err == nil && sum != n-(n+2)/3 {
+			err = fmt.Errorf("sum = %d, want %d", sum, n-(n+2)/3)
+		}
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }
