@@ -41,12 +41,16 @@ func TestExecAsyncAllocs(t *testing.T) {
 	}
 }
 
-// TestCrossShardAllocs: a cross-shard transfer on a two-shard cluster
-// with one worker per shard — the routed attempt, the reroute, the
-// gather reads, prepare and the apply fan-out — allocates no more than
-// the two IntValues it writes plus one, through Cluster.ExecAsync and
+// TestCrossShardAllocs: a cross-shard transaction on a two-shard
+// cluster with one worker per shard — the routed attempt, the reroute,
+// the gather reads, prepare and the apply fan-out — allocates no more
+// than the two values it writes plus one, through Cluster.ExecAsync and
 // Cluster.Exec alike. The routing frame, the 2PC frame and the shard
-// requests are all pooled.
+// requests are all pooled. Splittable operations are type-checked at
+// gather without building a value, and PutInt and PutBytes build their
+// values only at commit, so a cross-shard Add+Add or a pair of blind
+// puts allocates only its two written values, although its routed
+// attempt ran the home-shard write before the reroute.
 func TestCrossShardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race instrumentation")
@@ -82,26 +86,59 @@ func TestCrossShardAllocs(t *testing.T) {
 		}
 		return tx.PutInt(keys[1], y+1)
 	}
+	addAdd := func(tx Tx) error {
+		if err := tx.Add(keys[0], -1); err != nil {
+			return err
+		}
+		return tx.Add(keys[1], 1)
+	}
+	blindPuts := func(tx Tx) error {
+		if err := tx.PutInt(keys[0], 1); err != nil {
+			return err
+		}
+		return tx.PutInt(keys[1], 2)
+	}
+	val := []byte("v")
+	blindBytes := func(tx Tx) error {
+		if err := tx.PutBytes(keys[0], val); err != nil {
+			return err
+		}
+		return tx.PutBytes(keys[1], val)
+	}
+	bodies := []struct {
+		name  string
+		fn    TxFunc
+		bound float64
+	}{
+		{"transfer", transfer, 3},
+		{"Add+Add", addAdd, 2},
+		{"blind PutInt+PutInt", blindPuts, 2},
+		{"blind PutBytes+PutBytes", blindBytes, 2},
+	}
 	results := make(chan error, 1)
 	done := func(err error) { results <- err }
-	paths := map[string]func() error{
-		"ExecAsync": func() error { cl.ExecAsync(transfer, done); return <-results },
-		"Exec":      func() error { return cl.Exec(transfer) },
-	}
-	for name, submit := range paths {
-		run := func() {
-			if err := submit(); err != nil {
-				t.Fatal(err)
+	for _, b := range bodies {
+		paths := map[string]func() error{
+			"ExecAsync": func() error { cl.ExecAsync(b.fn, done); return <-results },
+			"Exec":      func() error { return cl.Exec(b.fn) },
+		}
+		for name, submit := range paths {
+			run := func() {
+				if err := submit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				run()
+			}
+			n := testing.AllocsPerRun(1000, run)
+			t.Logf("cross-shard %s through Cluster.%s: %.2f objects/op", b.name, name, n)
+			if n > b.bound {
+				t.Errorf("cross-shard %s through Cluster.%s allocates %.2f objects/op, want <= %.0f", b.name, name, n, b.bound)
 			}
 		}
-		for i := 0; i < 1000; i++ {
-			run()
-		}
-		if n := testing.AllocsPerRun(1000, run); n > 3 {
-			t.Errorf("cross-shard Cluster.%s allocates %.2f objects/op, want <= 3", name, n)
-		}
 	}
-	if st := cl.Stats().Router; st.CrossShard < 4000 {
-		t.Fatalf("router stats %+v: the transfers did not run through 2PC", st)
+	if st := cl.Stats().Router; st.CrossShard < 16000 {
+		t.Fatalf("router stats %+v: the transactions did not run through 2PC", st)
 	}
 }

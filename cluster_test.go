@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"doppel/internal/store"
 )
 
 // crossPair returns two keys from pool owned by different shards.
@@ -478,5 +480,58 @@ func TestClusterExecContextCancel(t *testing.T) {
 	// the pool once the worker finally drains.
 	if err := cl.Exec(func(tx Tx) error { return tx.Add("other", 1) }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterStampsTIDDomainCoreID: OPut and TopKInsert on a shard-1
+// key store the executing worker's TID-domain ID as their core ID —
+// shard 1's only worker is 1, not its local index 0 — whether they run
+// single-shard or replay on the shard through 2PC, so ordered-put
+// tie-breaking agrees across the shards of a cluster.
+func TestClusterStampsTIDDomainCoreID(t *testing.T) {
+	cl, err := OpenCluster(ClusterOptions{Shards: 2, DB: Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const want = 1 // OpenCluster gives shard i the IDs from i*Workers
+	home := keyOnShard(cl, 0, "home")
+	for _, cross := range []bool{false, true} {
+		tup := keyOnShard(cl, 1, fmt.Sprintf("tuple-%v", cross))
+		top := keyOnShard(cl, 1, fmt.Sprintf("top-%v", cross))
+		if err := cl.Exec(func(tx Tx) error {
+			if cross {
+				if err := tx.Add(home, 1); err != nil {
+					return err
+				}
+			}
+			if err := tx.OPut(tup, Order{A: 1}, []byte("d")); err != nil {
+				return err
+			}
+			return tx.TopKInsert(top, 1, []byte("e"), 4)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var got store.Tuple
+		var es []TopKEntry
+		if err := cl.Exec(func(tx Tx) error {
+			var err error
+			if got, _, err = tx.GetTuple(tup); err != nil {
+				return err
+			}
+			es, err = tx.GetTopK(top)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got.CoreID != want || string(got.Data) != "d" {
+			t.Errorf("cross=%v: OPut stored %+v, want core ID %d", cross, got, want)
+		}
+		if len(es) != 1 || es[0].CoreID != want {
+			t.Errorf("cross=%v: TopKInsert stored %+v, want one entry with core ID %d", cross, es, want)
+		}
+	}
+	if st := cl.Stats().Router; st.CrossShard != 1 {
+		t.Errorf("router stats %+v, want exactly the one 2PC commit", st)
 	}
 }

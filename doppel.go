@@ -42,10 +42,11 @@ import (
 	"doppel/internal/wal"
 )
 
-// Tx is the transaction interface passed to transaction bodies. See
-// engine.Tx for method semantics; the splittable operations (Add, Max,
-// Min, Mult, OPut, TopKInsert) are the ones phase reconciliation can
-// parallelize under contention.
+// Tx is the handle passed to transaction bodies: sixteen operations,
+// each on one record, defined once over the executing engine's read and
+// write. See engine.Tx for method semantics; the splittable operations
+// (Add, Max, Min, Mult, OPut, TopKInsert) are the ones phase
+// reconciliation can parallelize under contention.
 type Tx = engine.Tx
 
 // TxFunc is a transaction body. Bodies may be re-executed after

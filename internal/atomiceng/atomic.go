@@ -65,7 +65,7 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 	ws := &e.workers[w]
 	tx := &ws.tx
 	tx.eng, tx.w, tx.wrote = e, w, false
-	if err := fn(tx); err != nil {
+	if err := fn(engine.NewTx(tx)); err != nil {
 		ws.stats.Aborted.Add(1)
 		return engine.UserAbort, err
 	}
@@ -87,11 +87,20 @@ type Tx struct {
 	wrote bool
 }
 
-// WorkerID implements engine.Tx.
+// WorkerID implements engine.Ops.
 func (t *Tx) WorkerID() int { return t.w }
 
-// apply performs op on key's record via compare-and-swap.
-func (t *Tx) apply(key string, op store.Op) error {
+// Read implements engine.Ops: a plain atomic load. forUpdate means
+// nothing without locks.
+func (t *Tx) Read(key string, _ bool) (*store.Value, error) {
+	rec, _ := t.eng.st.GetOrCreate(key)
+	return rec.Value(), nil
+}
+
+// Write implements engine.Ops: it applies op to key's record at once,
+// by compare-and-swap.
+func (t *Tx) Write(key string, op store.Op) error {
+	op.SetCoreID(t.w)
 	rec, _ := t.eng.st.GetOrCreate(key)
 	t.wrote = true
 	for {
@@ -106,102 +115,5 @@ func (t *Tx) apply(key string, op store.Op) error {
 	}
 }
 
-// Get implements engine.Tx: a plain atomic load.
-func (t *Tx) Get(key string) (*store.Value, error) {
-	rec, _ := t.eng.st.GetOrCreate(key)
-	return rec.Value(), nil
-}
-
-// GetForUpdate implements engine.Tx; identical to Get (no locking here).
-func (t *Tx) GetForUpdate(key string) (*store.Value, error) { return t.Get(key) }
-
-// GetInt implements engine.Tx.
-func (t *Tx) GetInt(key string) (int64, error) {
-	v, err := t.Get(key)
-	if err != nil {
-		return 0, err
-	}
-	return v.AsInt()
-}
-
-// GetIntForUpdate implements engine.Tx.
-func (t *Tx) GetIntForUpdate(key string) (int64, error) { return t.GetInt(key) }
-
-// GetBytes implements engine.Tx.
-func (t *Tx) GetBytes(key string) ([]byte, error) {
-	v, err := t.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	return v.AsBytes()
-}
-
-// GetTuple implements engine.Tx.
-func (t *Tx) GetTuple(key string) (store.Tuple, bool, error) {
-	v, err := t.Get(key)
-	if err != nil {
-		return store.Tuple{}, false, err
-	}
-	return v.AsTuple()
-}
-
-// GetTopK implements engine.Tx.
-func (t *Tx) GetTopK(key string) ([]store.TopKEntry, error) {
-	v, err := t.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	tk, err := v.AsTopK()
-	if err != nil {
-		return nil, err
-	}
-	return tk.Entries(), nil
-}
-
-// Put implements engine.Tx.
-func (t *Tx) Put(key string, v *store.Value) error {
-	return t.apply(key, store.Op{Kind: store.OpPut, Val: v})
-}
-
-// PutInt implements engine.Tx.
-func (t *Tx) PutInt(key string, n int64) error { return t.Put(key, store.IntValue(n)) }
-
-// PutBytes implements engine.Tx.
-func (t *Tx) PutBytes(key string, b []byte) error { return t.Put(key, store.BytesValue(b)) }
-
-// Add implements engine.Tx.
-func (t *Tx) Add(key string, n int64) error {
-	return t.apply(key, store.Op{Kind: store.OpAdd, Int: n})
-}
-
-// Max implements engine.Tx.
-func (t *Tx) Max(key string, n int64) error {
-	return t.apply(key, store.Op{Kind: store.OpMax, Int: n})
-}
-
-// Min implements engine.Tx.
-func (t *Tx) Min(key string, n int64) error {
-	return t.apply(key, store.Op{Kind: store.OpMin, Int: n})
-}
-
-// Mult implements engine.Tx.
-func (t *Tx) Mult(key string, n int64) error {
-	return t.apply(key, store.Op{Kind: store.OpMult, Int: n})
-}
-
-// OPut implements engine.Tx.
-func (t *Tx) OPut(key string, order store.Order, data []byte) error {
-	return t.apply(key, store.Op{Kind: store.OpOPut, Tuple: store.Tuple{
-		Order: order, CoreID: int32(t.w), Data: data,
-	}})
-}
-
-// TopKInsert implements engine.Tx.
-func (t *Tx) TopKInsert(key string, order int64, data []byte, k int) error {
-	return t.apply(key, store.Op{Kind: store.OpTopKInsert, K: k, Entry: store.TopKEntry{
-		Order: order, CoreID: int32(t.w), Data: data,
-	}})
-}
-
-var _ engine.Tx = (*Tx)(nil)
+var _ engine.Ops = (*Tx)(nil)
 var _ engine.Engine = (*Engine)(nil)

@@ -111,7 +111,7 @@ func (db *DB) decideNextSplit() *splitSet {
 			if op == store.OpNone {
 				continue
 			}
-			incompat := uint64(oc[store.OpGet]) + uint64(oc[store.OpPut])
+			incompat := total(oc) - splitConf
 			if splitConf < uint64(cfg.SplitMinConflicts) {
 				continue
 			}

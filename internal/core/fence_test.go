@@ -79,7 +79,7 @@ func TestFenceOwnerPasses(t *testing.T) {
 	// The owner — the cross-shard apply transaction — reads and writes
 	// its own fenced record through the normal commit protocol.
 	out, err := db.Attempt(0, func(tx engine.Tx) error {
-		tx.(engine.FenceTx).SetFenceToken(99)
+		engine.OpsOf(tx).(engine.FenceTx).SetFenceToken(99)
 		n, gerr := tx.GetInt("fenced")
 		if gerr != nil {
 			return gerr
@@ -110,7 +110,7 @@ func TestFenceTokenClearsBetweenTransactions(t *testing.T) {
 	defer rec.Unfence(99)
 
 	out, err := db.Attempt(0, func(tx engine.Tx) error {
-		tx.(engine.FenceTx).SetFenceToken(99)
+		engine.OpsOf(tx).(engine.FenceTx).SetFenceToken(99)
 		return tx.PutInt("fenced", 1)
 	}, 0)
 	if err != nil || out != engine.Committed {

@@ -92,7 +92,7 @@ func (t *Tx) fencedBy(rec *store.Record) bool {
 	return ft != 0 && ft != t.fence
 }
 
-// WorkerID implements engine.Tx.
+// WorkerID implements engine.Ops.
 func (t *Tx) WorkerID() int { return t.w.id }
 
 // splitLookup reports how an access to key interacts with split data.
@@ -115,9 +115,12 @@ func (t *Tx) splitLookup(key string, op store.OpKind) (*splitKey, error) {
 	return nil, engine.ErrStash
 }
 
-// load performs a Silo consistent read with split-data checking and
-// read-your-writes overlay.
-func (t *Tx) load(key string) (*store.Value, error) {
+// Read implements engine.Ops: a Silo consistent read with split-data
+// checking and read-your-writes overlay. forUpdate means nothing under
+// OCC.
+//
+//doppel:hotpath
+func (t *Tx) Read(key string, _ bool) (*store.Value, error) {
 	if _, err := t.splitLookup(key, store.OpGet); err != nil {
 		return nil, err
 	}
@@ -144,77 +147,18 @@ func (t *Tx) load(key string) (*store.Value, error) {
 	return v, nil
 }
 
-// Get implements engine.Tx.
-func (t *Tx) Get(key string) (*store.Value, error) { return t.load(key) }
-
-// GetForUpdate implements engine.Tx; identical to Get under OCC.
-func (t *Tx) GetForUpdate(key string) (*store.Value, error) { return t.load(key) }
-
-// GetInt implements engine.Tx.
-func (t *Tx) GetInt(key string) (int64, error) {
-	v, err := t.load(key)
-	if err != nil {
-		return 0, err
-	}
-	return v.AsInt()
-}
-
-// GetIntForUpdate implements engine.Tx.
-func (t *Tx) GetIntForUpdate(key string) (int64, error) { return t.GetInt(key) }
-
-// GetBytes implements engine.Tx.
-func (t *Tx) GetBytes(key string) ([]byte, error) {
-	v, err := t.load(key)
-	if err != nil {
-		return nil, err
-	}
-	return v.AsBytes()
-}
-
-// GetTuple implements engine.Tx.
-func (t *Tx) GetTuple(key string) (store.Tuple, bool, error) {
-	v, err := t.load(key)
-	if err != nil {
-		return store.Tuple{}, false, err
-	}
-	return v.AsTuple()
-}
-
-// GetTopK implements engine.Tx.
-func (t *Tx) GetTopK(key string) ([]store.TopKEntry, error) {
-	v, err := t.load(key)
-	if err != nil {
-		return nil, err
-	}
-	tk, err := v.AsTopK()
-	if err != nil {
-		return nil, err
-	}
-	return tk.Entries(), nil
-}
-
-// Put implements engine.Tx. Put never splits (it does not commute); a Put
-// to a split record during a split phase stashes the transaction.
-func (t *Tx) Put(key string, v *store.Value) error {
-	if _, err := t.splitLookup(key, store.OpPut); err != nil {
-		return err
-	}
-	rec, _ := t.w.db.st.GetOrCreate(key)
-	t.wrote = true
-	t.wset = append(t.wset, writeEnt{key, rec, store.Op{Kind: store.OpPut, Val: v}})
-	return nil
-}
-
-// PutInt implements engine.Tx.
-func (t *Tx) PutInt(key string, n int64) error { return t.Put(key, store.IntValue(n)) }
-
-// PutBytes implements engine.Tx.
-func (t *Tx) PutBytes(key string, b []byte) error { return t.Put(key, store.BytesValue(b)) }
-
-// update routes a splittable operation: to the per-core slice when the
-// record is split with this operation selected, otherwise through the
-// joined-phase read-validate-write path.
-func (t *Tx) update(key string, op store.Op) error {
+// Write implements engine.Ops. A splittable operation on a record split
+// with that operation selected goes to the per-core slice; any other
+// access to a split record during a split phase stashes the
+// transaction. Otherwise a Put is a blind buffered write, and a
+// splittable operation takes the joined-phase read-validate-write path.
+// OPut and TopKInsert carry the worker's TID-domain ID, so their
+// tie-breaking stays deterministic across the shards of a cluster, not
+// just within one instance.
+//
+//doppel:hotpath
+func (t *Tx) Write(key string, op store.Op) error {
+	op.SetCoreID(t.w.tidID)
 	sk, err := t.splitLookup(key, op.Kind)
 	if err != nil {
 		return err
@@ -226,58 +170,24 @@ func (t *Tx) update(key string, op store.Op) error {
 		t.sw = append(t.sw, sliceWrite{sk, op})
 		return nil
 	}
-	// Joined path (or unsplit record in a split phase): read-validate +
-	// buffered write, which is what makes contention observable to the
-	// classifier.
 	rec, _ := t.w.db.st.GetOrCreate(key)
-	if t.fencedBy(rec) {
-		return engine.ErrFenced
+	if op.Kind.Splittable() {
+		// Joined path (or unsplit record in a split phase): the read
+		// validation is what makes contention observable to the
+		// classifier.
+		if t.fencedBy(rec) {
+			return engine.ErrFenced
+		}
+		_, tid, ok := rec.ReadConsistent(readSpins)
+		if !ok {
+			t.blocker = rec
+			t.w.sampleConflict(key, op.Kind)
+			return engine.ErrAbort
+		}
+		t.reads = append(t.reads, readEnt{rec, key, tid, op.Kind})
 	}
-	_, tid, ok := rec.ReadConsistent(readSpins)
-	if !ok {
-		t.blocker = rec
-		t.w.sampleConflict(key, op.Kind)
-		return engine.ErrAbort
-	}
-	t.reads = append(t.reads, readEnt{rec, key, tid, op.Kind})
 	t.wset = append(t.wset, writeEnt{key, rec, op})
 	return nil
-}
-
-// Add implements engine.Tx.
-func (t *Tx) Add(key string, n int64) error {
-	return t.update(key, store.Op{Kind: store.OpAdd, Int: n})
-}
-
-// Max implements engine.Tx.
-func (t *Tx) Max(key string, n int64) error {
-	return t.update(key, store.Op{Kind: store.OpMax, Int: n})
-}
-
-// Min implements engine.Tx.
-func (t *Tx) Min(key string, n int64) error {
-	return t.update(key, store.Op{Kind: store.OpMin, Int: n})
-}
-
-// Mult implements engine.Tx.
-func (t *Tx) Mult(key string, n int64) error {
-	return t.update(key, store.Op{Kind: store.OpMult, Int: n})
-}
-
-// OPut implements engine.Tx. The tuple's core ID is the worker's
-// TID-domain ID so ordered-put tie-breaking stays deterministic across
-// the shards of a cluster, not just within one instance.
-func (t *Tx) OPut(key string, order store.Order, data []byte) error {
-	return t.update(key, store.Op{Kind: store.OpOPut, Tuple: store.Tuple{
-		Order: order, CoreID: int32(t.w.tidID), Data: data,
-	}})
-}
-
-// TopKInsert implements engine.Tx.
-func (t *Tx) TopKInsert(key string, order int64, data []byte, k int) error {
-	return t.update(key, store.Op{Kind: store.OpTopKInsert, K: k, Entry: store.TopKEntry{
-		Order: order, CoreID: int32(t.w.tidID), Data: data,
-	}})
 }
 
 // inWrites reports whether rec is locked by this transaction's write set.
@@ -546,6 +456,6 @@ func (t *Tx) unlockPrefix(n int) {
 }
 
 var (
-	_ engine.Tx      = (*Tx)(nil)
+	_ engine.Ops     = (*Tx)(nil)
 	_ engine.FenceTx = (*Tx)(nil)
 )

@@ -14,7 +14,7 @@ import (
 )
 
 // opKindCount sizes per-operation counter arrays.
-const opKindCount = int(store.OpTopKInsert) + 1
+const opKindCount = int(store.OpPutBytes) + 1
 
 // workerIDMask extracts the worker-ID byte of a commit TID; see the TID
 // layout in doc.go. Config.Workers is capped at MaxWorkers so the mask
@@ -431,7 +431,7 @@ func (w *Worker) execOnce(h held) (engine.Outcome, error) {
 	w.attemptsWindow.Add(1)
 	tx := &w.tx
 	tx.reset(w)
-	err := h.fn(tx)
+	err := h.fn(engine.NewTx(tx))
 	switch {
 	case errors.Is(err, engine.ErrStash):
 		w.stash = append(w.stash, h)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"doppel/internal/metrics"
-	"doppel/internal/store"
 )
 
 // ErrAbort reports a concurrency-control conflict: the transaction had no
@@ -31,56 +30,6 @@ var ErrFenced = errors.New("engine: record fenced by an in-flight cross-shard co
 // ErrUnsupported reports an operation the engine cannot execute (for
 // example, byte-string values in the Atomic engine).
 var ErrUnsupported = errors.New("engine: operation not supported by this engine")
-
-// Tx is the operation interface a transaction body programs against. All
-// methods access exactly one record, per the paper's data model (§3);
-// transactions compose multi-record logic from them. Blind update
-// operations (Add, Max, ...) return only errors: splittable operations
-// must return nothing (§4 guideline 2).
-type Tx interface {
-	// Get returns the record's current value (nil if absent).
-	Get(key string) (*store.Value, error)
-	// GetForUpdate is Get plus a write-intent hint: the 2PL engine takes
-	// the write lock immediately (SELECT ... FOR UPDATE) so that
-	// read-then-write transactions cannot deadlock on lock upgrades.
-	// Other engines treat it exactly as Get.
-	GetForUpdate(key string) (*store.Value, error)
-	// GetInt returns an integer record's value, 0 if absent.
-	GetInt(key string) (int64, error)
-	// GetIntForUpdate is GetInt with the GetForUpdate hint.
-	GetIntForUpdate(key string) (int64, error)
-	// GetBytes returns a byte-string record's value, nil if absent.
-	GetBytes(key string) ([]byte, error)
-	// GetTuple returns an ordered-tuple record's value.
-	GetTuple(key string) (store.Tuple, bool, error)
-	// GetTopK returns the entries of a top-K record, best first.
-	GetTopK(key string) ([]store.TopKEntry, error)
-
-	// Put overwrites the record's value. Put does not commute and is
-	// never splittable.
-	Put(key string, v *store.Value) error
-	// PutInt and PutBytes are Put conveniences.
-	PutInt(key string, n int64) error
-	PutBytes(key string, b []byte) error
-
-	// Add adds n to an integer record (splittable).
-	Add(key string, n int64) error
-	// Max raises an integer record to at least n (splittable).
-	Max(key string, n int64) error
-	// Min lowers an integer record to at most n (splittable).
-	Min(key string, n int64) error
-	// Mult multiplies an integer record by n (splittable).
-	Mult(key string, n int64) error
-	// OPut performs an ordered put: the tuple with the highest (order,
-	// core ID) wins (splittable). The engine supplies the core ID.
-	OPut(key string, order store.Order, data []byte) error
-	// TopKInsert inserts (order, coreID, data) into a top-K set record,
-	// creating it with bound k if absent (splittable).
-	TopKInsert(key string, order int64, data []byte, k int) error
-
-	// WorkerID identifies the worker executing this transaction.
-	WorkerID() int
-}
 
 // TxFunc is a transaction body. It may be re-executed after aborts or
 // stashes, so it must be a pure function of the database state it reads.
@@ -133,8 +82,9 @@ func (o Outcome) String() string {
 	}
 }
 
-// FenceTx is implemented by transactions that can execute on behalf of
-// the cross-shard commit holding per-key fences: setting the owning
+// FenceTx is implemented by an engine's Ops (see OpsOf) when its
+// transactions can execute on behalf of the cross-shard commit holding
+// per-key fences: setting the owning
 // fence token lets the transaction read and write its own fenced
 // records, which every other transaction aborts on. The router's merged
 // revalidate+apply transaction is the only caller.

@@ -69,26 +69,49 @@ func commit(t *testing.T, e engine.Engine, w int, fn engine.TxFunc) (engine.Outc
 	return 0, nil
 }
 
-// TestTxContract exercises the Tx semantics both OCC and Doppel's split
-// execution must provide: read-your-writes, commit visibility,
-// WorkerID, GetForUpdate-as-Get, and user aborts discarding all
-// effects.
+// TestTxContract exercises the Tx semantics every engine must provide,
+// calling all sixteen operations: read-your-writes, commit visibility,
+// absent keys reading as each kind's zero, kind mismatches failing,
+// WorkerID, GetForUpdate and GetIntForUpdate reading like Get, and
+// (on the engines that isolate transactions) user aborts discarding
+// all effects.
 func TestTxContract(t *testing.T) {
-	engines := map[string]func() engine.Engine{
-		"occ": func() engine.Engine { return occ.New(store.New(), 1) },
-		"doppel": func() engine.Engine {
-			return core.Open(store.New(), core.DefaultConfig(1))
-		},
-		"2pl": func() engine.Engine { return twopl.New(store.New(), 1) },
+	engines := []struct {
+		name     string
+		build    func() engine.Engine
+		isolated bool
+	}{
+		{"occ", func() engine.Engine { return occ.New(store.New(), 1) }, true},
+		{"doppel", func() engine.Engine { return core.Open(store.New(), core.DefaultConfig(1)) }, true},
+		{"2pl", func() engine.Engine { return twopl.New(store.New(), 1) }, true},
+		// Atomic applies each operation at once, so a user abort keeps
+		// the operations before it.
+		{"atomic", func() engine.Engine { return atomiceng.New(store.New(), 1) }, false},
 	}
-	for name, build := range engines {
-		t.Run(name, func(t *testing.T) {
-			e := build()
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			e := eng.build()
 			defer e.Stop()
 
 			out, err := commit(t, e, 0, func(tx engine.Tx) error {
 				if got := tx.WorkerID(); got != 0 {
 					t.Errorf("WorkerID = %d, want 0", got)
+				}
+				// Absent keys read as their kind's zero.
+				if v, err := tx.Get("none"); err != nil || v != nil {
+					t.Errorf("Get(absent) = %v, %v; want nil", v, err)
+				}
+				if n, err := tx.GetInt("none"); err != nil || n != 0 {
+					t.Errorf("GetInt(absent) = %d, %v; want 0", n, err)
+				}
+				if b, err := tx.GetBytes("none"); err != nil || b != nil {
+					t.Errorf("GetBytes(absent) = %q, %v; want nil", b, err)
+				}
+				if _, ok, err := tx.GetTuple("none"); err != nil || ok {
+					t.Errorf("GetTuple(absent) present=%v, %v; want false", ok, err)
+				}
+				if es, err := tx.GetTopK("none"); err != nil || len(es) != 0 {
+					t.Errorf("GetTopK(absent) = %v, %v; want empty", es, err)
 				}
 				if err := tx.PutInt("a", 1); err != nil {
 					return err
@@ -101,29 +124,68 @@ func TestTxContract(t *testing.T) {
 				if n != 1 {
 					t.Errorf("read-your-writes: a = %d, want 1", n)
 				}
-				return tx.Add("a", 2)
+				if err := tx.Add("a", 2); err != nil {
+					return err
+				}
+				if err := tx.PutBytes("b", []byte("x")); err != nil {
+					return err
+				}
+				if err := tx.Put("p", store.IntValue(10)); err != nil {
+					return err
+				}
+				// (10 max 12 min 11) * 2 = 22
+				for _, op := range []func() error{
+					func() error { return tx.Max("p", 12) },
+					func() error { return tx.Min("p", 11) },
+					func() error { return tx.Mult("p", 2) },
+					func() error { return tx.OPut("t", store.Order{A: 9}, []byte("d")) },
+					func() error { return tx.TopKInsert("k", 3, []byte("e"), 4) },
+				} {
+					if err := op(); err != nil {
+						return err
+					}
+				}
+				return nil
 			})
 			if out != engine.Committed || err != nil {
 				t.Fatalf("commit: %v %v", out, err)
 			}
 
-			// Committed effects are visible, via GetForUpdate and Get alike.
-			// GetForUpdate comes first: 2PL treats a plain read followed by
-			// GetForUpdate as a forbidden lock upgrade.
+			// Committed effects are visible, and the ForUpdate reads
+			// agree with Get and GetInt. They come first: 2PL treats a
+			// plain read followed by a ForUpdate read as a forbidden
+			// lock upgrade.
 			out, err = commit(t, e, 0, func(tx engine.Tx) error {
-				v, err := tx.GetForUpdate("a")
+				fu, err := tx.GetForUpdate("a")
 				if err != nil {
 					return err
 				}
-				if got, _ := v.AsInt(); got != 3 {
-					t.Errorf("GetForUpdate a = %d, want 3", got)
-				}
-				n, err := tx.GetInt("a")
+				fn, err := tx.GetIntForUpdate("p")
 				if err != nil {
 					return err
 				}
-				if n != 3 {
-					t.Errorf("a = %d, want 3", n)
+				v, err := tx.Get("a")
+				if err != nil {
+					return err
+				}
+				if got, _ := fu.AsInt(); got != 3 || !fu.Equal(v) {
+					t.Errorf("GetForUpdate a = %v, Get a = %v, want 3 from both", fu, v)
+				}
+				if n, err := tx.GetInt("p"); err != nil || n != 22 || fn != 22 {
+					t.Errorf("GetIntForUpdate p = %d, GetInt p = %d (%v), want 22 from both", fn, n, err)
+				}
+				if b, err := tx.GetBytes("b"); err != nil || string(b) != "x" {
+					t.Errorf("b = %q, %v; want x", b, err)
+				}
+				if tup, ok, err := tx.GetTuple("t"); err != nil || !ok || tup.Order.A != 9 || string(tup.Data) != "d" {
+					t.Errorf("t = %+v %v %v", tup, ok, err)
+				}
+				if es, err := tx.GetTopK("k"); err != nil || len(es) != 1 || es[0].Order != 3 || string(es[0].Data) != "e" {
+					t.Errorf("k = %+v %v", es, err)
+				}
+				// A kind mismatch is an error, not a zero.
+				if b, err := tx.GetBytes("a"); err == nil {
+					t.Errorf("GetBytes on an int = %q, want an error", b)
 				}
 				return nil
 			})
@@ -131,8 +193,8 @@ func TestTxContract(t *testing.T) {
 				t.Fatalf("read: %v %v", out, err)
 			}
 
-			// A user abort surfaces the body's own error and discards all
-			// buffered effects.
+			// A user abort surfaces the body's own error and, where the
+			// engine isolates transactions, discards all buffered effects.
 			boom := errors.New("boom")
 			out, err = commit(t, e, 0, func(tx engine.Tx) error {
 				if err := tx.Add("a", 100); err != nil {
@@ -143,18 +205,20 @@ func TestTxContract(t *testing.T) {
 			if out != engine.UserAbort || !errors.Is(err, boom) {
 				t.Fatalf("user abort: %v %v", out, err)
 			}
-			out, err = commit(t, e, 0, func(tx engine.Tx) error {
-				n, err := tx.GetInt("a")
-				if err != nil {
-					return err
+			if eng.isolated {
+				out, err = commit(t, e, 0, func(tx engine.Tx) error {
+					n, err := tx.GetInt("a")
+					if err != nil {
+						return err
+					}
+					if n != 3 {
+						t.Errorf("a = %d after user abort, want 3 (abort leaked writes)", n)
+					}
+					return nil
+				})
+				if out != engine.Committed || err != nil {
+					t.Fatalf("post-abort read: %v %v", out, err)
 				}
-				if n != 3 {
-					t.Errorf("a = %d after user abort, want 3 (abort leaked writes)", n)
-				}
-				return nil
-			})
-			if out != engine.Committed || err != nil {
-				t.Fatalf("post-abort read: %v %v", out, err)
 			}
 
 			// Commits count in the worker's stats.

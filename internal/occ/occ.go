@@ -70,7 +70,7 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 	ws := &e.workers[w]
 	tx := &ws.tx
 	tx.reset(e, w)
-	err := fn(tx)
+	err := fn(engine.NewTx(tx))
 	var out engine.Outcome
 	switch {
 	case errors.Is(err, engine.ErrAbort):

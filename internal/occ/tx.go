@@ -43,12 +43,13 @@ func (t *Tx) reset(e *Engine, w int) {
 	t.wrote = false
 }
 
-// WorkerID implements engine.Tx.
+// WorkerID implements engine.Ops.
 func (t *Tx) WorkerID() int { return t.w }
 
-// load performs the Silo consistent read, records the read TID, and
-// overlays the transaction's own buffered writes (read-your-writes).
-func (t *Tx) load(key string) (*store.Value, error) {
+// Read implements engine.Ops: the Silo consistent read, which records
+// the read TID and overlays the transaction's own buffered writes
+// (read-your-writes). forUpdate means nothing under OCC.
+func (t *Tx) Read(key string, _ bool) (*store.Value, error) {
 	rec, _ := t.eng.st.GetOrCreate(key)
 	v, tid, ok := rec.ReadConsistent(readSpins)
 	if !ok {
@@ -67,131 +68,25 @@ func (t *Tx) load(key string) (*store.Value, error) {
 	return v, nil
 }
 
-// observe records a read TID for a record the transaction is about to
-// blind-update via a read-modify-write operation. This is what makes the
-// OCC baseline behave as the paper describes: increments "read the value
-// of a key, compute the new value ... and validate that it hasn't changed
+// Write implements engine.Ops by buffering op. A Put is a blind write:
+// it takes no read-set entry (Silo permits blind writes). A splittable
+// operation records a read TID first, which is what makes the OCC
+// baseline behave as the paper describes: increments "read the value of
+// a key, compute the new value ... and validate that it hasn't changed
 // since it was first read", and therefore conflict under contention.
-func (t *Tx) observe(key string) (*store.Record, error) {
+func (t *Tx) Write(key string, op store.Op) error {
+	op.SetCoreID(t.w)
 	rec, _ := t.eng.st.GetOrCreate(key)
-	_, tid, ok := rec.ReadConsistent(readSpins)
-	if !ok {
-		return nil, engine.ErrAbort
+	if op.Kind.Splittable() {
+		_, tid, ok := rec.ReadConsistent(readSpins)
+		if !ok {
+			return engine.ErrAbort
+		}
+		t.reads = append(t.reads, readEnt{rec, tid})
 	}
-	t.reads = append(t.reads, readEnt{rec, tid})
-	return rec, nil
-}
-
-func (t *Tx) buffer(key string, rec *store.Record, op store.Op) {
 	t.wrote = true
 	t.wset = append(t.wset, writeEnt{key, rec, op})
-}
-
-// Get implements engine.Tx.
-func (t *Tx) Get(key string) (*store.Value, error) { return t.load(key) }
-
-// GetForUpdate implements engine.Tx; in OCC it is identical to Get.
-func (t *Tx) GetForUpdate(key string) (*store.Value, error) { return t.load(key) }
-
-// GetInt implements engine.Tx.
-func (t *Tx) GetInt(key string) (int64, error) {
-	v, err := t.load(key)
-	if err != nil {
-		return 0, err
-	}
-	return v.AsInt()
-}
-
-// GetIntForUpdate implements engine.Tx.
-func (t *Tx) GetIntForUpdate(key string) (int64, error) { return t.GetInt(key) }
-
-// GetBytes implements engine.Tx.
-func (t *Tx) GetBytes(key string) ([]byte, error) {
-	v, err := t.load(key)
-	if err != nil {
-		return nil, err
-	}
-	return v.AsBytes()
-}
-
-// GetTuple implements engine.Tx.
-func (t *Tx) GetTuple(key string) (store.Tuple, bool, error) {
-	v, err := t.load(key)
-	if err != nil {
-		return store.Tuple{}, false, err
-	}
-	return v.AsTuple()
-}
-
-// GetTopK implements engine.Tx.
-func (t *Tx) GetTopK(key string) ([]store.TopKEntry, error) {
-	v, err := t.load(key)
-	if err != nil {
-		return nil, err
-	}
-	tk, err := v.AsTopK()
-	if err != nil {
-		return nil, err
-	}
-	return tk.Entries(), nil
-}
-
-// Put implements engine.Tx. Put is a blind write: it takes no read-set
-// entry (Silo permits blind writes).
-func (t *Tx) Put(key string, v *store.Value) error {
-	rec, _ := t.eng.st.GetOrCreate(key)
-	t.buffer(key, rec, store.Op{Kind: store.OpPut, Val: v})
 	return nil
-}
-
-// PutInt implements engine.Tx.
-func (t *Tx) PutInt(key string, n int64) error { return t.Put(key, store.IntValue(n)) }
-
-// PutBytes implements engine.Tx.
-func (t *Tx) PutBytes(key string, b []byte) error { return t.Put(key, store.BytesValue(b)) }
-
-// rmw buffers a read-modify-write operation: observe then buffer.
-func (t *Tx) rmw(key string, op store.Op) error {
-	rec, err := t.observe(key)
-	if err != nil {
-		return err
-	}
-	t.buffer(key, rec, op)
-	return nil
-}
-
-// Add implements engine.Tx.
-func (t *Tx) Add(key string, n int64) error {
-	return t.rmw(key, store.Op{Kind: store.OpAdd, Int: n})
-}
-
-// Max implements engine.Tx.
-func (t *Tx) Max(key string, n int64) error {
-	return t.rmw(key, store.Op{Kind: store.OpMax, Int: n})
-}
-
-// Min implements engine.Tx.
-func (t *Tx) Min(key string, n int64) error {
-	return t.rmw(key, store.Op{Kind: store.OpMin, Int: n})
-}
-
-// Mult implements engine.Tx.
-func (t *Tx) Mult(key string, n int64) error {
-	return t.rmw(key, store.Op{Kind: store.OpMult, Int: n})
-}
-
-// OPut implements engine.Tx.
-func (t *Tx) OPut(key string, order store.Order, data []byte) error {
-	return t.rmw(key, store.Op{Kind: store.OpOPut, Tuple: store.Tuple{
-		Order: order, CoreID: int32(t.w), Data: data,
-	}})
-}
-
-// TopKInsert implements engine.Tx.
-func (t *Tx) TopKInsert(key string, order int64, data []byte, k int) error {
-	return t.rmw(key, store.Op{Kind: store.OpTopKInsert, K: k, Entry: store.TopKEntry{
-		Order: order, CoreID: int32(t.w), Data: data,
-	}})
 }
 
 // inWrites reports whether rec is in the transaction's write set (and so
@@ -308,4 +203,4 @@ func (t *Tx) unlockPrefix(n int) {
 	}
 }
 
-var _ engine.Tx = (*Tx)(nil)
+var _ engine.Ops = (*Tx)(nil)

@@ -4,80 +4,28 @@ import (
 	"doppel/internal/store"
 )
 
-// readTx implements engine.Tx over a replica's store. Reads go straight
+// readTx implements engine.Ops over a replica's store. Reads go straight
 // to the record's current value — the caller (View) holds the apply
 // lock, so "current" is a frozen log prefix — and every write returns
-// ErrReadOnly.
+// ErrReadOnly. It holds one pointer, so it fits an interface without
+// allocating.
 type readTx struct {
 	st *store.Store
 }
 
-// get returns the key's value, nil if absent. The Value accessors all
-// treat a nil receiver as an absent record, so lookups need no
-// existence branching.
-func (t *readTx) get(key string) *store.Value {
+// Read implements engine.Ops: the key's value, nil if absent. The
+// write-intent hint is meaningless without writes.
+func (t readTx) Read(key string, _ bool) (*store.Value, error) {
 	r := t.st.Get(key)
 	if r == nil {
-		return nil
+		return nil, nil
 	}
-	return r.Value()
+	return r.Value(), nil
 }
 
-// Get implements engine.Tx.
-func (t *readTx) Get(key string) (*store.Value, error) { return t.get(key), nil }
+// Write implements engine.Ops; it always fails with ErrReadOnly.
+func (readTx) Write(string, store.Op) error { return ErrReadOnly }
 
-// GetForUpdate implements engine.Tx; the write-intent hint is
-// meaningless without writes, so it is plain Get.
-func (t *readTx) GetForUpdate(key string) (*store.Value, error) { return t.get(key), nil }
-
-// GetInt implements engine.Tx.
-func (t *readTx) GetInt(key string) (int64, error) { return t.get(key).AsInt() }
-
-// GetIntForUpdate implements engine.Tx.
-func (t *readTx) GetIntForUpdate(key string) (int64, error) { return t.get(key).AsInt() }
-
-// GetBytes implements engine.Tx.
-func (t *readTx) GetBytes(key string) ([]byte, error) { return t.get(key).AsBytes() }
-
-// GetTuple implements engine.Tx.
-func (t *readTx) GetTuple(key string) (store.Tuple, bool, error) { return t.get(key).AsTuple() }
-
-// GetTopK implements engine.Tx.
-func (t *readTx) GetTopK(key string) ([]store.TopKEntry, error) {
-	tk, err := t.get(key).AsTopK()
-	if err != nil {
-		return nil, err
-	}
-	return tk.Entries(), nil
-}
-
-// Put implements engine.Tx; it always fails with ErrReadOnly.
-func (t *readTx) Put(key string, v *store.Value) error { return ErrReadOnly }
-
-// PutInt implements engine.Tx; it always fails with ErrReadOnly.
-func (t *readTx) PutInt(key string, n int64) error { return ErrReadOnly }
-
-// PutBytes implements engine.Tx; it always fails with ErrReadOnly.
-func (t *readTx) PutBytes(key string, b []byte) error { return ErrReadOnly }
-
-// Add implements engine.Tx; it always fails with ErrReadOnly.
-func (t *readTx) Add(key string, n int64) error { return ErrReadOnly }
-
-// Max implements engine.Tx; it always fails with ErrReadOnly.
-func (t *readTx) Max(key string, n int64) error { return ErrReadOnly }
-
-// Min implements engine.Tx; it always fails with ErrReadOnly.
-func (t *readTx) Min(key string, n int64) error { return ErrReadOnly }
-
-// Mult implements engine.Tx; it always fails with ErrReadOnly.
-func (t *readTx) Mult(key string, n int64) error { return ErrReadOnly }
-
-// OPut implements engine.Tx; it always fails with ErrReadOnly.
-func (t *readTx) OPut(key string, order store.Order, data []byte) error { return ErrReadOnly }
-
-// TopKInsert implements engine.Tx; it always fails with ErrReadOnly.
-func (t *readTx) TopKInsert(key string, order int64, data []byte, k int) error { return ErrReadOnly }
-
-// WorkerID implements engine.Tx. Views run on the caller's goroutine,
+// WorkerID implements engine.Ops. Views run on the caller's goroutine,
 // not an engine worker; 0 keeps any worker-sharded caller logic inert.
-func (t *readTx) WorkerID() int { return 0 }
+func (readTx) WorkerID() int { return 0 }

@@ -351,7 +351,7 @@ func (f *Follower) applyRecord(rec wal.Record) error {
 func (f *Follower) View(fn engine.TxFunc) (uint64, error) {
 	f.applyMu.RLock()
 	defer f.applyMu.RUnlock()
-	err := fn(&readTx{st: f.st})
+	err := fn(engine.NewTx(readTx{st: f.st}))
 	return f.applied.Load(), err
 }
 

@@ -18,6 +18,13 @@
 // adds no allocation. The cross-shard path below adds none either (see
 // Pooled frames).
 //
+// The router runs bodies on three engine.Ops of its own, each a Read
+// and a Write under the sixteen operations engine.Tx defines once:
+// probeTx records the first key and fails every operation; checkTx
+// passes home-shard operations to the shard's own Ops, serves foreign
+// reads in place and vetoes everything else; gatherTx is the
+// cross-shard gather below.
+//
 // A read of a foreign key stays in place as long as the attempt has
 // written nothing: the router reads the owning shard's record directly
 // (store.Record.ReadConsistent, creating the record if absent so a
@@ -40,12 +47,13 @@
 //
 // A cross-shard transaction runs in three stages:
 //
-//  1. Gather: the body re-executes against a routing transaction that
-//     dispatches each read to the owning shard (one single-key,
-//     read-only shard transaction per distinct key, with
-//     read-your-writes overlay) and buffers each write, tagged with its
-//     owning shard. Splittable updates also read their target so type
-//     errors surface before anything commits, mirroring the embedded
+//  1. Gather: the body re-executes against gatherTx, which dispatches
+//     each read to the owning shard (one single-key, read-only shard
+//     transaction per distinct key, with read-your-writes overlay) and
+//     buffers each write as a store.Op, tagged with its owning shard.
+//     Splittable updates also read their target and type-check the op
+//     against it (store.Check, which builds no value), so type errors
+//     surface before anything commits, mirroring the embedded
 //     joined-phase path.
 //  2. Prepare: the touched shards' commit locks are taken in ascending
 //     shard-ID order — deterministic ordering, so concurrent
@@ -60,8 +68,10 @@
 //     and stashing on split data until the joined phase. A split key
 //     the body only wrote blindly (Put) gets one such read first.
 //  3. Commit: one shard transaction per shard with writes revalidates
-//     that shard's gathered reads AND replays its buffered writes — per
-//     shard, validate+write is a single atomic OCC commit. The
+//     that shard's gathered reads AND replays its buffered ops through
+//     the shard's Ops.Write, kinds intact, so the shard stamps the core
+//     IDs of ordered puts and top-K inserts itself — per shard,
+//     validate+write is a single atomic OCC commit. The
 //     transaction declares the fence token it owns (engine.FenceTx) so
 //     it passes its own fences. When every apply lands, fences release,
 //     then the commit locks.

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"errors"
-	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,20 +39,6 @@ func (HashPartitioner) Shard(key string, shards int) int {
 		h *= prime64
 	}
 	return int(h % uint64(shards))
-}
-
-// SeededPartitioner hashes with a per-process random seed
-// (hash/maphash). It is hostile-key resistant but NOT stable across
-// restarts, so it is only safe for purely in-memory clusters.
-type SeededPartitioner struct {
-	seed maphash.Seed
-	once sync.Once
-}
-
-// Shard implements Partitioner.
-func (p *SeededPartitioner) Shard(key string, shards int) int {
-	p.once.Do(func() { p.seed = maphash.MakeSeed() })
-	return int(maphash.String(p.seed, key) % uint64(shards))
 }
 
 // Shard is the per-shard database surface the router drives. The

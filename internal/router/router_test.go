@@ -356,7 +356,7 @@ func TestForeignReadValidation(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if _, ok := tx.(*gatherTx); ok && !repaired && c.repair != nil {
+				if _, ok := engine.OpsOf(tx).(*gatherTx); ok && !repaired && c.repair != nil {
 					repaired = true
 					c.repair(fakes[1], b)
 				}
@@ -364,7 +364,7 @@ func TestForeignReadValidation(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if _, ok := tx.(*checkTx); ok && !spoiled && !c.before {
+				if _, ok := engine.OpsOf(tx).(*checkTx); ok && !spoiled && !c.before {
 					spoiled = true
 					c.spoil(t, fakes[1], b)
 				}
@@ -411,7 +411,7 @@ func TestPrepareRejectsStaleGather(t *testing.T) {
 	g := &cc.g
 	g.ctx = context.Background()
 	g.reset()
-	if err := transfer(g); err != nil {
+	if err := transfer(engine.NewTx(g)); err != nil {
 		t.Fatal(err)
 	}
 	seed(t, r, b, 50)
@@ -428,7 +428,7 @@ func TestPrepareRejectsStaleGather(t *testing.T) {
 		t.Errorf("failed round had effects: %s=%d %s=%d, want 5 and 50", a, x, b, y)
 	}
 	g.reset()
-	if err := transfer(g); err != nil {
+	if err := transfer(engine.NewTx(g)); err != nil {
 		t.Fatal(err)
 	}
 	if committed, _, err := r.tryCommit(cc); err != nil || !committed {
@@ -466,6 +466,40 @@ func TestBlindPutWaitsOutSplitPhase(t *testing.T) {
 	}
 	if st := r.Stats(); st.CrossShard != 1 || st.CrossShardRetries != 1 {
 		t.Errorf("stats %+v, want one 2PC commit after one refused round", st)
+	}
+}
+
+// TestGatherTypeChecksSplittableOps: a cross-shard Add on a key that
+// holds bytes fails at gather with the store's type error, before any
+// round fences or applies, so it counts as a cross-shard abort and
+// leaves both shards unchanged.
+func TestGatherTypeChecksSplittableOps(t *testing.T) {
+	r, fakes := newTestRouter(t)
+	a, b := keyOn(r, 0, "a"), keyOn(r, 1, "b")
+	seed(t, r, a, 5)
+	if err := r.ExecContext(context.Background(), func(tx engine.Tx) error {
+		return tx.PutBytes(b, []byte("x"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, want := store.BytesValue(nil).AsInt()
+	err := r.ExecContext(context.Background(), func(tx engine.Tx) error {
+		if err := tx.Add(a, 1); err != nil {
+			return err
+		}
+		return tx.Add(b, 1)
+	})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("cross-shard Add on bytes returned %v, want %v", err, want)
+	}
+	if st := r.Stats(); st.CrossShardAborts != 1 || st.CrossShard != 0 || st.CrossShardApplyLost != 0 {
+		t.Errorf("stats %+v, want one cross-shard abort and no commit", st)
+	}
+	if x := fakes[0].value(t, a); x != 5 {
+		t.Errorf("%s = %d after the aborted Add, want 5", a, x)
+	}
+	if v, err := fakes[1].Store().Get(b).Value().AsBytes(); err != nil || string(v) != "x" {
+		t.Errorf("%s = %q, %v after the aborted Add, want \"x\"", b, v, err)
 	}
 }
 
@@ -564,7 +598,7 @@ func TestCancelledGatherAbandonsFrame(t *testing.T) {
 	var abandoned *gatherTx
 	transfer := func(n int64, frame func(g *gatherTx)) engine.TxFunc {
 		return func(tx engine.Tx) error {
-			if g, ok := tx.(*gatherTx); ok {
+			if g, ok := engine.OpsOf(tx).(*gatherTx); ok {
 				frame(g)
 			}
 			x, err := tx.GetInt(a)

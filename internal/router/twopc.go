@@ -104,17 +104,21 @@ type shardApply struct {
 }
 
 // run revalidates the shard's gathered reads and replays its writes as
-// the owner of the round's fences.
+// the owner of the round's fences. The writes replay through the
+// shard's own Write with their kinds intact: an Add replays as Add, so
+// the shard may split the record and the operation still commutes with
+// concurrent single-shard traffic.
 //
 //doppel:hotpath
 func (a *shardApply) run(tx engine.Tx) error {
+	ops := engine.OpsOf(tx)
 	if tok := a.cc.tok; tok != 0 {
-		if ft, ok := tx.(engine.FenceTx); ok {
+		if ft, ok := ops.(engine.FenceTx); ok {
 			ft.SetFenceToken(tok)
 		}
 	}
 	for _, rd := range a.reads {
-		cur, err := tx.Get(rd.key)
+		cur, err := ops.Read(rd.key, false)
 		if err != nil {
 			return err
 		}
@@ -122,7 +126,12 @@ func (a *shardApply) run(tx engine.Tx) error {
 			return errApplyStale
 		}
 	}
-	return replayOps(tx, a.writes)
+	for _, w := range a.writes {
+		if err := ops.Write(w.key, w.op); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // finish is the shard's completion: it records the first failure and
@@ -142,7 +151,7 @@ func (a *shardApply) finish(err error) {
 	cc.wg.Done()
 }
 
-// gatherTx implements engine.Tx for the gather stage of the cross-shard
+// gatherTx implements engine.Ops for the gather stage of the cross-shard
 // protocol: reads dispatch to the owning shard, writes buffer. It is
 // not concurrency-safe; each crossCall owns one and reuses it.
 type gatherTx struct {
@@ -150,7 +159,7 @@ type gatherTx struct {
 	ctx    context.Context
 	reads  []gatherRead
 	writes []gatherWrite
-	// readIdx indexes reads by key so load is O(1) per access instead of
+	// readIdx indexes reads by key so Read is O(1) per access instead of
 	// a linear scan (which made large gathers O(n²)).
 	readIdx map[string]int
 	// infra is the first shard-dispatch failure (shard closed, context
@@ -206,13 +215,13 @@ func (g *gatherTx) readShard(tx engine.Tx) error {
 	return err
 }
 
-// load returns key's value as this transaction sees it: the gathered
-// shard value (fetched on first access, then reused) with this
-// transaction's own buffered writes overlaid, so reads-after-writes
+// Read implements engine.Ops: key's value as this transaction sees it,
+// the gathered shard value (fetched on first access, then reused) with
+// this transaction's own buffered writes overlaid, so reads-after-writes
 // behave as in a single-shard transaction.
 //
 //doppel:hotpath
-func (g *gatherTx) load(key string) (*store.Value, error) {
+func (g *gatherTx) Read(key string, _ bool) (*store.Value, error) {
 	if g.infra != nil {
 		return nil, g.infra
 	}
@@ -243,119 +252,34 @@ func (g *gatherTx) load(key string) (*store.Value, error) {
 	return base, nil
 }
 
-// update buffers a splittable operation. It reads the target first —
-// recording it in the read set — so type mismatches surface here, at
-// gather, the way the embedded joined-phase path surfaces them at
-// execution rather than commit. That read is also what makes the
-// commit-stage replay type-safe by construction: prepare revalidates
-// the value the operation was type-checked against, so a validated
-// round cannot hit an Apply type error at apply time.
+// Write implements engine.Ops by buffering op. A Put is blind. A
+// splittable operation reads its target first — recording it in the
+// read set — so a type mismatch surfaces here, at gather, the way the
+// embedded joined-phase path surfaces it at execution rather than
+// commit. That read is also what makes the commit-stage replay
+// type-safe by construction: prepare revalidates the value the
+// operation was type-checked against, so a validated round cannot hit
+// an Apply type error at apply time.
 //
 //doppel:hotpath
-func (g *gatherTx) update(key string, op store.Op) error {
-	cur, err := g.load(key)
-	if err != nil {
-		return err
-	}
-	if _, err := store.Apply(cur, op); err != nil {
-		return err
+func (g *gatherTx) Write(key string, op store.Op) error {
+	if op.Kind.Splittable() {
+		cur, err := g.Read(key, false)
+		if err != nil {
+			return err
+		}
+		if err := store.Check(cur, op); err != nil {
+			return err
+		}
+	} else if g.infra != nil {
+		return g.infra
 	}
 	g.writes = append(g.writes, gatherWrite{shard: g.r.ShardOf(key), key: key, op: op})
 	return nil
 }
 
-func (g *gatherTx) Get(key string) (*store.Value, error)          { return g.load(key) }
-func (g *gatherTx) GetForUpdate(key string) (*store.Value, error) { return g.load(key) }
-
-func (g *gatherTx) GetInt(key string) (int64, error) {
-	v, err := g.load(key)
-	if err != nil {
-		return 0, err
-	}
-	return v.AsInt()
-}
-
-func (g *gatherTx) GetIntForUpdate(key string) (int64, error) { return g.GetInt(key) }
-
-func (g *gatherTx) GetBytes(key string) ([]byte, error) {
-	v, err := g.load(key)
-	if err != nil {
-		return nil, err
-	}
-	return v.AsBytes()
-}
-
-func (g *gatherTx) GetTuple(key string) (store.Tuple, bool, error) {
-	v, err := g.load(key)
-	if err != nil {
-		return store.Tuple{}, false, err
-	}
-	return v.AsTuple()
-}
-
-func (g *gatherTx) GetTopK(key string) ([]store.TopKEntry, error) {
-	v, err := g.load(key)
-	if err != nil {
-		return nil, err
-	}
-	t, err := v.AsTopK()
-	if err != nil {
-		return nil, err
-	}
-	return t.Entries(), nil
-}
-
-// Put buffers a blind write.
-//
-//doppel:hotpath
-func (g *gatherTx) Put(key string, v *store.Value) error {
-	if g.infra != nil {
-		return g.infra
-	}
-	g.writes = append(g.writes, gatherWrite{
-		shard: g.r.ShardOf(key), key: key, op: store.Op{Kind: store.OpPut, Val: v},
-	})
-	return nil
-}
-
-func (g *gatherTx) PutInt(key string, n int64) error { return g.Put(key, store.IntValue(n)) }
-func (g *gatherTx) PutBytes(key string, b []byte) error {
-	return g.Put(key, store.BytesValue(b))
-}
-
-func (g *gatherTx) Add(key string, n int64) error {
-	return g.update(key, store.Op{Kind: store.OpAdd, Int: n})
-}
-
-func (g *gatherTx) Max(key string, n int64) error {
-	return g.update(key, store.Op{Kind: store.OpMax, Int: n})
-}
-
-func (g *gatherTx) Min(key string, n int64) error {
-	return g.update(key, store.Op{Kind: store.OpMin, Int: n})
-}
-
-func (g *gatherTx) Mult(key string, n int64) error {
-	return g.update(key, store.Op{Kind: store.OpMult, Int: n})
-}
-
-func (g *gatherTx) OPut(key string, order store.Order, data []byte) error {
-	return g.update(key, store.Op{
-		Kind:  store.OpOPut,
-		Tuple: store.Tuple{Order: order, Data: data},
-	})
-}
-
-func (g *gatherTx) TopKInsert(key string, order int64, data []byte, k int) error {
-	return g.update(key, store.Op{
-		Kind:  store.OpTopKInsert,
-		Entry: store.TopKEntry{Order: order, Data: data},
-		K:     k,
-	})
-}
-
-// WorkerID returns -1: a cross-shard transaction has no single
-// executing worker.
+// WorkerID implements engine.Ops with -1: a cross-shard transaction has
+// no single executing worker.
 func (g *gatherTx) WorkerID() int { return -1 }
 
 // group rebuilds the per-shard view of the gathered read and write sets
@@ -449,7 +373,7 @@ func (cc *crossCall) run(ctx context.Context) error {
 	g.ctx = ctx
 	for {
 		g.reset()
-		err := cc.fn(g)
+		err := cc.fn(engine.NewTx(g))
 		if g.infra != nil {
 			return g.infra
 		}
@@ -467,7 +391,7 @@ func (cc *crossCall) run(ctx context.Context) error {
 		}
 		r.stats.CrossShardRetries.Add(1)
 		if _, read := g.readIdx[split]; split != "" && !read {
-			if _, err := g.load(split); err != nil {
+			if _, err := g.Read(split, false); err != nil {
 				return err
 			}
 		}
@@ -645,36 +569,4 @@ func (r *Router) unfenceAll(g *gatherTx, tok uint64) {
 		}
 		sh.WakeAll()
 	}
-}
-
-// replayOps applies buffered writes through the shard's own transaction
-// interface, preserving operation kinds: an Add replays as Add, so the
-// shard may split the record and the operation still commutes with
-// concurrent single-shard traffic.
-func replayOps(tx engine.Tx, writes []gatherWrite) error {
-	for _, w := range writes {
-		var err error
-		switch w.op.Kind {
-		case store.OpPut:
-			err = tx.Put(w.key, w.op.Val)
-		case store.OpAdd:
-			err = tx.Add(w.key, w.op.Int)
-		case store.OpMax:
-			err = tx.Max(w.key, w.op.Int)
-		case store.OpMin:
-			err = tx.Min(w.key, w.op.Int)
-		case store.OpMult:
-			err = tx.Mult(w.key, w.op.Int)
-		case store.OpOPut:
-			err = tx.OPut(w.key, w.op.Tuple.Order, w.op.Tuple.Data)
-		case store.OpTopKInsert:
-			err = tx.TopKInsert(w.key, w.op.Entry.Order, w.op.Entry.Data, w.op.K)
-		default:
-			err = fmt.Errorf("router: cannot replay op kind %v", w.op.Kind)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -32,8 +32,8 @@ type routedCall struct {
 func newRoutedCall(r *Router) *routedCall {
 	rc := &routedCall{r: r}
 	rc.run = func(tx engine.Tx) error {
-		rc.check.reset(rc.r, tx, rc.shard)
-		err := rc.fn(&rc.check)
+		rc.check.reset(rc.r, engine.OpsOf(tx), rc.shard)
+		err := rc.fn(engine.NewTx(&rc.check))
 		if rc.check.foreign {
 			return errCrossShard
 		}
@@ -90,7 +90,7 @@ func (rc *routedCall) route(fn engine.TxFunc) int {
 	rc.fn = fn
 	rc.probe.reset()
 	rc.check.foreign = false
-	_ = fn(&rc.probe) // the probe error is the mechanism, not a failure
+	_ = fn(engine.NewTx(&rc.probe)) // the probe error is the mechanism, not a failure
 	shard := 0
 	if rc.probe.has {
 		shard = rc.r.ShardOf(rc.probe.key)
@@ -111,7 +111,7 @@ func (rc *routedCall) release() {
 // effect and the error never escapes to the caller.
 var errProbe = errors.New("router: probe")
 
-// probeTx implements engine.Tx by recording the first key accessed and
+// probeTx implements engine.Ops by recording the first key accessed and
 // failing every operation.
 type probeTx struct {
 	has bool
@@ -127,32 +127,9 @@ func (p *probeTx) note(key string) error {
 	return errProbe
 }
 
-func (p *probeTx) Get(key string) (*store.Value, error)          { return nil, p.note(key) }
-func (p *probeTx) GetForUpdate(key string) (*store.Value, error) { return nil, p.note(key) }
-func (p *probeTx) GetInt(key string) (int64, error)              { return 0, p.note(key) }
-func (p *probeTx) GetIntForUpdate(key string) (int64, error)     { return 0, p.note(key) }
-func (p *probeTx) GetBytes(key string) ([]byte, error)           { return nil, p.note(key) }
-func (p *probeTx) GetTuple(key string) (store.Tuple, bool, error) {
-	return store.Tuple{}, false, p.note(key)
-}
-func (p *probeTx) GetTopK(key string) ([]store.TopKEntry, error) { return nil, p.note(key) }
-
-func (p *probeTx) Put(key string, v *store.Value) error { return p.note(key) }
-func (p *probeTx) PutInt(key string, n int64) error     { return p.note(key) }
-func (p *probeTx) PutBytes(key string, b []byte) error  { return p.note(key) }
-
-func (p *probeTx) Add(key string, n int64) error  { return p.note(key) }
-func (p *probeTx) Max(key string, n int64) error  { return p.note(key) }
-func (p *probeTx) Min(key string, n int64) error  { return p.note(key) }
-func (p *probeTx) Mult(key string, n int64) error { return p.note(key) }
-func (p *probeTx) OPut(key string, order store.Order, data []byte) error {
-	return p.note(key)
-}
-func (p *probeTx) TopKInsert(key string, order int64, data []byte, k int) error {
-	return p.note(key)
-}
-
-func (p *probeTx) WorkerID() int { return -1 }
+func (p *probeTx) Read(key string, _ bool) (*store.Value, error) { return nil, p.note(key) }
+func (p *probeTx) Write(key string, _ store.Op) error            { return p.note(key) }
+func (p *probeTx) WorkerID() int                                 { return -1 }
 
 // readSpins bounds how long an in-place foreign read waits for a locked
 // record before giving up on the attempt (the shard engines use the
@@ -169,7 +146,7 @@ type foreignRead struct {
 	tid   uint64
 }
 
-// checkTx wraps a shard's engine.Tx. Operations on the attempt's own
+// checkTx wraps a shard's engine.Ops. Operations on the attempt's own
 // shard pass through. A read of another shard's key is served in place
 // (readForeign) while the attempt has written nothing; any other
 // foreign access — a foreign write, a write after a foreign read, a
@@ -179,7 +156,7 @@ type foreignRead struct {
 // Attempt drops a stash replay's), the router reads foreign afterwards.
 type checkTx struct {
 	r       *Router
-	inner   engine.Tx
+	inner   engine.Ops
 	shard   int
 	foreign bool
 	wrote   bool
@@ -188,43 +165,52 @@ type checkTx struct {
 	reads []foreignRead
 }
 
-func (c *checkTx) reset(r *Router, inner engine.Tx, shard int) {
+func (c *checkTx) reset(r *Router, inner engine.Ops, shard int) {
 	c.r, c.inner, c.shard, c.foreign, c.wrote = r, inner, shard, false, false
 	c.reads = c.reads[:0]
 }
 
-// write reports whether a write of key may go to the home shard.
-func (c *checkTx) write(key string) bool {
-	if c.foreign {
-		return false
-	}
-	if len(c.reads) > 0 || c.r.ShardOf(key) != c.shard {
-		c.foreign = true
-		return false
-	}
-	c.wrote = true
-	return true
-}
-
-// read routes a read of key: home=true sends it to the home shard's
-// transaction; otherwise v is the value read in place, or err vetoes
+// Read implements engine.Ops: a read of a home-shard key goes to the
+// home shard's transaction, a foreign one is served in place or vetoes
 // the attempt.
-func (c *checkTx) read(key string) (v *store.Value, home bool, err error) {
+//
+//doppel:hotpath
+func (c *checkTx) Read(key string, forUpdate bool) (*store.Value, error) {
 	if c.foreign {
-		return nil, false, errCrossShard
+		return nil, errCrossShard
 	}
 	shard := c.r.ShardOf(key)
 	if shard == c.shard {
-		return nil, true, nil
+		return c.inner.Read(key, forUpdate)
 	}
 	if !c.wrote {
 		if v, ok := c.readForeign(shard, key); ok {
-			return v, false, nil
+			return v, nil
 		}
 	}
 	c.foreign = true
-	return nil, false, errCrossShard
+	return nil, errCrossShard
 }
+
+// Write implements engine.Ops: a write of a home-shard key, before any
+// foreign read, goes to the home shard's transaction; any other write
+// vetoes the attempt.
+//
+//doppel:hotpath
+func (c *checkTx) Write(key string, op store.Op) error {
+	if c.foreign {
+		return errCrossShard
+	}
+	if len(c.reads) > 0 || c.r.ShardOf(key) != c.shard {
+		c.foreign = true
+		return errCrossShard
+	}
+	c.wrote = true
+	return c.inner.Write(key, op)
+}
+
+// WorkerID implements engine.Ops.
+func (c *checkTx) WorkerID() int { return c.inner.WorkerID() }
 
 // readForeign reads key on its owning shard without a shard
 // transaction: a Silo consistent read of the record (created if
@@ -271,143 +257,3 @@ func (r *Router) unchanged(rd *foreignRead) bool {
 	tid, locked := rd.rec.TIDWord()
 	return !locked && tid == rd.tid
 }
-
-func (c *checkTx) Get(key string) (*store.Value, error) {
-	v, home, err := c.read(key)
-	if home {
-		return c.inner.Get(key)
-	}
-	return v, err
-}
-
-func (c *checkTx) GetForUpdate(key string) (*store.Value, error) {
-	v, home, err := c.read(key)
-	if home {
-		return c.inner.GetForUpdate(key)
-	}
-	return v, err
-}
-
-func (c *checkTx) GetInt(key string) (int64, error) {
-	v, home, err := c.read(key)
-	if home {
-		return c.inner.GetInt(key)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return v.AsInt()
-}
-
-func (c *checkTx) GetIntForUpdate(key string) (int64, error) {
-	v, home, err := c.read(key)
-	if home {
-		return c.inner.GetIntForUpdate(key)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return v.AsInt()
-}
-
-func (c *checkTx) GetBytes(key string) ([]byte, error) {
-	v, home, err := c.read(key)
-	if home {
-		return c.inner.GetBytes(key)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v.AsBytes()
-}
-
-func (c *checkTx) GetTuple(key string) (store.Tuple, bool, error) {
-	v, home, err := c.read(key)
-	if home {
-		return c.inner.GetTuple(key)
-	}
-	if err != nil {
-		return store.Tuple{}, false, err
-	}
-	return v.AsTuple()
-}
-
-func (c *checkTx) GetTopK(key string) ([]store.TopKEntry, error) {
-	v, home, err := c.read(key)
-	if home {
-		return c.inner.GetTopK(key)
-	}
-	if err != nil {
-		return nil, err
-	}
-	t, err := v.AsTopK()
-	if err != nil {
-		return nil, err
-	}
-	return t.Entries(), nil
-}
-
-func (c *checkTx) Put(key string, v *store.Value) error {
-	if !c.write(key) {
-		return errCrossShard
-	}
-	return c.inner.Put(key, v)
-}
-
-func (c *checkTx) PutInt(key string, n int64) error {
-	if !c.write(key) {
-		return errCrossShard
-	}
-	return c.inner.PutInt(key, n)
-}
-
-func (c *checkTx) PutBytes(key string, b []byte) error {
-	if !c.write(key) {
-		return errCrossShard
-	}
-	return c.inner.PutBytes(key, b)
-}
-
-func (c *checkTx) Add(key string, n int64) error {
-	if !c.write(key) {
-		return errCrossShard
-	}
-	return c.inner.Add(key, n)
-}
-
-func (c *checkTx) Max(key string, n int64) error {
-	if !c.write(key) {
-		return errCrossShard
-	}
-	return c.inner.Max(key, n)
-}
-
-func (c *checkTx) Min(key string, n int64) error {
-	if !c.write(key) {
-		return errCrossShard
-	}
-	return c.inner.Min(key, n)
-}
-
-func (c *checkTx) Mult(key string, n int64) error {
-	if !c.write(key) {
-		return errCrossShard
-	}
-	return c.inner.Mult(key, n)
-}
-
-func (c *checkTx) OPut(key string, order store.Order, data []byte) error {
-	if !c.write(key) {
-		return errCrossShard
-	}
-	return c.inner.OPut(key, order, data)
-}
-
-func (c *checkTx) TopKInsert(key string, order int64, data []byte, k int) error {
-	if !c.write(key) {
-		return errCrossShard
-	}
-	return c.inner.TopKInsert(key, order, data, k)
-}
-
-func (c *checkTx) WorkerID() int { return c.inner.WorkerID() }

@@ -18,6 +18,13 @@ const (
 	OpMult              // integer multiplication (paper §4: "for instance, multiply")
 	OpOPut              // ordered put on (order, coreID, data) tuples
 	OpTopKInsert        // insert into a bounded top-K set
+	// OpPutInt and OpPutBytes are the forms of OpPut that PutInt and
+	// PutBytes write: they carry the integer or byte string itself, and
+	// Apply builds the value, so a write that is vetoed or aborted
+	// before commit allocates nothing. OpPutBytes stays the last kind:
+	// per-kind counter arrays are sized by it.
+	OpPutInt
+	OpPutBytes
 )
 
 // String implements fmt.Stringer.
@@ -41,6 +48,10 @@ func (k OpKind) String() string {
 		return "oput"
 	case OpTopKInsert:
 		return "topk-insert"
+	case OpPutInt:
+		return "put-int"
+	case OpPutBytes:
+		return "put-bytes"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(k))
 	}
@@ -63,13 +74,15 @@ func (k OpKind) Write() bool { return k != OpGet && k != OpNone }
 
 // Op is one buffered operation on one record: the kind plus its operands.
 // For OpAdd/OpMax/OpMin/OpMult, Int is the integer operand. For OpPut,
-// Val is the new value. For OpOPut, Tuple carries (order, coreID, data).
-// For OpTopKInsert, Entry carries (order, coreID, data) and K bounds the
-// set when the record is created by this insert.
+// Val is the new value; for OpPutInt it is Int, for OpPutBytes Bytes.
+// For OpOPut, Tuple carries (order, coreID, data). For OpTopKInsert,
+// Entry carries (order, coreID, data) and K bounds the set when the
+// record is created by this insert.
 type Op struct {
 	Kind  OpKind
 	Int   int64
 	Val   *Value
+	Bytes []byte
 	Tuple Tuple
 	Entry TopKEntry
 	K     int
@@ -85,6 +98,10 @@ func Apply(v *Value, op Op) (*Value, error) {
 	switch op.Kind {
 	case OpPut:
 		return op.Val, nil
+	case OpPutInt:
+		return IntValue(op.Int), nil
+	case OpPutBytes:
+		return BytesValue(op.Bytes), nil
 	case OpAdd, OpMult, OpMax, OpMin:
 		n, err := ApplyInt(v, op)
 		if err != nil {
@@ -114,6 +131,36 @@ func Apply(v *Value, op Op) (*Value, error) {
 		return TopKValue(cur.Insert(op.Entry)), nil
 	default:
 		return nil, fmt.Errorf("store: cannot apply %v", op.Kind)
+	}
+}
+
+// Check returns the error Apply(v, op) would return, without building
+// the result, so it allocates nothing on success.
+func Check(v *Value, op Op) error {
+	var err error
+	switch op.Kind {
+	case OpPut, OpPutInt, OpPutBytes:
+	case OpAdd, OpMult, OpMax, OpMin:
+		_, err = ApplyInt(v, op)
+	case OpOPut:
+		_, _, err = v.AsTuple()
+	case OpTopKInsert:
+		_, err = v.AsTopK()
+	default:
+		err = fmt.Errorf("store: cannot apply %v", op.Kind)
+	}
+	return err
+}
+
+// SetCoreID stamps the executing core's ID into an OPut's tuple or a
+// TopKInsert's entry, where it breaks ties between equal orders. Other
+// operations carry no core ID.
+func (op *Op) SetCoreID(id int) {
+	switch op.Kind {
+	case OpOPut:
+		op.Tuple.CoreID = int32(id)
+	case OpTopKInsert:
+		op.Entry.CoreID = int32(id)
 	}
 }
 

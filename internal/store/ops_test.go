@@ -11,7 +11,7 @@ func TestOpKindStringAndClassification(t *testing.T) {
 	split := map[OpKind]bool{
 		OpAdd: true, OpMax: true, OpMin: true, OpMult: true,
 		OpOPut: true, OpTopKInsert: true,
-		OpGet: false, OpPut: false, OpNone: false,
+		OpGet: false, OpPut: false, OpPutInt: false, OpPutBytes: false, OpNone: false,
 	}
 	for k, want := range split {
 		if k.Splittable() != want {
@@ -27,7 +27,7 @@ func TestOpKindStringAndClassification(t *testing.T) {
 	if OpGet.Write() || OpNone.Write() {
 		t.Error("reads classified as writes")
 	}
-	if !OpPut.Write() || !OpAdd.Write() {
+	if !OpPut.Write() || !OpPutInt.Write() || !OpPutBytes.Write() || !OpAdd.Write() {
 		t.Error("writes not classified")
 	}
 }
@@ -36,6 +36,17 @@ func TestApplyPut(t *testing.T) {
 	v, err := Apply(IntValue(1), Op{Kind: OpPut, Val: BytesValue([]byte("x"))})
 	if err != nil || v.Kind != KindBytes {
 		t.Fatalf("put: %v %v", v, err)
+	}
+}
+
+func TestApplyPutIntAndBytes(t *testing.T) {
+	v, err := Apply(BytesValue([]byte("x")), Op{Kind: OpPutInt, Int: 7})
+	if err != nil || v.Kind != KindInt64 || v.Int != 7 {
+		t.Fatalf("put-int: %v %v", v, err)
+	}
+	v, err = Apply(IntValue(1), Op{Kind: OpPutBytes, Bytes: []byte("y")})
+	if err != nil || v.Kind != KindBytes || string(v.Bytes) != "y" {
+		t.Fatalf("put-bytes: %v %v", v, err)
 	}
 }
 
@@ -300,5 +311,56 @@ func TestApplyIntMatchesApply(t *testing.T) {
 	}
 	if _, err := ApplyInt(nil, Op{Kind: OpOPut}); err == nil {
 		t.Fatal("ApplyInt accepted OPut")
+	}
+}
+
+// TestCheckMatchesApply: Check fails exactly where Apply does, with the
+// same error, for every write kind against every value kind, and it
+// allocates nothing when the op fits.
+func TestCheckMatchesApply(t *testing.T) {
+	values := []*Value{
+		nil, IntValue(3), BytesValue([]byte("x")),
+		TupleValue(Tuple{Order: Order{A: 1}}), TopKValue(NewTopK(2)),
+	}
+	ops := []Op{
+		{Kind: OpPut, Val: IntValue(1)}, {Kind: OpPutInt, Int: 1}, {Kind: OpPutBytes, Bytes: []byte("y")},
+		{Kind: OpAdd, Int: 1}, {Kind: OpMax, Int: 1}, {Kind: OpMin, Int: 1}, {Kind: OpMult, Int: 2},
+		{Kind: OpOPut, Tuple: Tuple{Order: Order{A: 2}}},
+		{Kind: OpTopKInsert, K: 2, Entry: TopKEntry{Order: 5}},
+		{Kind: OpGet},
+	}
+	for _, v := range values {
+		for _, op := range ops {
+			_, want := Apply(v, op)
+			got := Check(v, op)
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Errorf("Check(%v, %v) = %v, Apply's error is %v", v, op.Kind, got, want)
+			}
+			if want == nil {
+				if n := testing.AllocsPerRun(100, func() { _ = Check(v, op) }); n != 0 {
+					t.Errorf("Check(%v, %v) allocates %.0f objects", v, op.Kind, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSetCoreID: the core ID lands in an OPut's tuple or a
+// TopKInsert's entry, and nowhere on other operations.
+func TestSetCoreID(t *testing.T) {
+	op := Op{Kind: OpOPut}
+	op.SetCoreID(5)
+	if op.Tuple.CoreID != 5 || op.Entry.CoreID != 0 {
+		t.Errorf("OPut stamped %+v", op)
+	}
+	op = Op{Kind: OpTopKInsert}
+	op.SetCoreID(5)
+	if op.Entry.CoreID != 5 || op.Tuple.CoreID != 0 {
+		t.Errorf("TopKInsert stamped %+v", op)
+	}
+	op = Op{Kind: OpAdd}
+	op.SetCoreID(5)
+	if op.Tuple.CoreID != 0 || op.Entry.CoreID != 0 {
+		t.Errorf("Add stamped %+v", op)
 	}
 }

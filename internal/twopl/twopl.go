@@ -73,7 +73,7 @@ func (e *Engine) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Out
 	ws := &e.workers[w]
 	tx := &ws.tx
 	tx.reset(e, w)
-	err := fn(tx)
+	err := fn(engine.NewTx(tx))
 	if err != nil {
 		tx.releaseAll()
 		ws.stats.Aborted.Add(1)
@@ -129,7 +129,7 @@ func (t *Tx) reset(e *Engine, w int) {
 	t.wrote = false
 }
 
-// WorkerID implements engine.Tx.
+// WorkerID implements engine.Ops.
 func (t *Tx) WorkerID() int { return t.w }
 
 // holding returns the lock entry for rec, or -1.
@@ -172,9 +172,14 @@ func (t *Tx) releaseAll() {
 	t.held = t.held[:0]
 }
 
-// load reads a record under the requested lock mode and overlays the
-// transaction's buffered writes.
-func (t *Tx) load(key string, mode lockMode) (*store.Value, error) {
+// Read implements engine.Ops: it reads a record under a read lock, or
+// under the write lock for GetForUpdate, and overlays the transaction's
+// buffered writes.
+func (t *Tx) Read(key string, forUpdate bool) (*store.Value, error) {
+	mode := lockRead
+	if forUpdate {
+		mode = lockWrite
+	}
 	rec, _ := t.eng.st.GetOrCreate(key)
 	if err := t.acquire(rec, mode); err != nil {
 		return nil, err
@@ -192,63 +197,10 @@ func (t *Tx) load(key string, mode lockMode) (*store.Value, error) {
 	return v, nil
 }
 
-// Get implements engine.Tx.
-func (t *Tx) Get(key string) (*store.Value, error) { return t.load(key, lockRead) }
-
-// GetForUpdate implements engine.Tx: it takes the write lock immediately.
-func (t *Tx) GetForUpdate(key string) (*store.Value, error) { return t.load(key, lockWrite) }
-
-// GetInt implements engine.Tx.
-func (t *Tx) GetInt(key string) (int64, error) {
-	v, err := t.load(key, lockRead)
-	if err != nil {
-		return 0, err
-	}
-	return v.AsInt()
-}
-
-// GetIntForUpdate implements engine.Tx.
-func (t *Tx) GetIntForUpdate(key string) (int64, error) {
-	v, err := t.load(key, lockWrite)
-	if err != nil {
-		return 0, err
-	}
-	return v.AsInt()
-}
-
-// GetBytes implements engine.Tx.
-func (t *Tx) GetBytes(key string) ([]byte, error) {
-	v, err := t.load(key, lockRead)
-	if err != nil {
-		return nil, err
-	}
-	return v.AsBytes()
-}
-
-// GetTuple implements engine.Tx.
-func (t *Tx) GetTuple(key string) (store.Tuple, bool, error) {
-	v, err := t.load(key, lockRead)
-	if err != nil {
-		return store.Tuple{}, false, err
-	}
-	return v.AsTuple()
-}
-
-// GetTopK implements engine.Tx.
-func (t *Tx) GetTopK(key string) ([]store.TopKEntry, error) {
-	v, err := t.load(key, lockRead)
-	if err != nil {
-		return nil, err
-	}
-	tk, err := v.AsTopK()
-	if err != nil {
-		return nil, err
-	}
-	return tk.Entries(), nil
-}
-
-// write acquires the write lock and buffers op for commit time.
-func (t *Tx) write(key string, op store.Op) error {
+// Write implements engine.Ops: it acquires the write lock and buffers
+// op for commit time.
+func (t *Tx) Write(key string, op store.Op) error {
+	op.SetCoreID(t.w)
 	rec, _ := t.eng.st.GetOrCreate(key)
 	if err := t.acquire(rec, lockWrite); err != nil {
 		return err
@@ -256,51 +208,6 @@ func (t *Tx) write(key string, op store.Op) error {
 	t.wrote = true
 	t.wset = append(t.wset, writeEnt{rec, op})
 	return nil
-}
-
-// Put implements engine.Tx.
-func (t *Tx) Put(key string, v *store.Value) error {
-	return t.write(key, store.Op{Kind: store.OpPut, Val: v})
-}
-
-// PutInt implements engine.Tx.
-func (t *Tx) PutInt(key string, n int64) error { return t.Put(key, store.IntValue(n)) }
-
-// PutBytes implements engine.Tx.
-func (t *Tx) PutBytes(key string, b []byte) error { return t.Put(key, store.BytesValue(b)) }
-
-// Add implements engine.Tx.
-func (t *Tx) Add(key string, n int64) error {
-	return t.write(key, store.Op{Kind: store.OpAdd, Int: n})
-}
-
-// Max implements engine.Tx.
-func (t *Tx) Max(key string, n int64) error {
-	return t.write(key, store.Op{Kind: store.OpMax, Int: n})
-}
-
-// Min implements engine.Tx.
-func (t *Tx) Min(key string, n int64) error {
-	return t.write(key, store.Op{Kind: store.OpMin, Int: n})
-}
-
-// Mult implements engine.Tx.
-func (t *Tx) Mult(key string, n int64) error {
-	return t.write(key, store.Op{Kind: store.OpMult, Int: n})
-}
-
-// OPut implements engine.Tx.
-func (t *Tx) OPut(key string, order store.Order, data []byte) error {
-	return t.write(key, store.Op{Kind: store.OpOPut, Tuple: store.Tuple{
-		Order: order, CoreID: int32(t.w), Data: data,
-	}})
-}
-
-// TopKInsert implements engine.Tx.
-func (t *Tx) TopKInsert(key string, order int64, data []byte, k int) error {
-	return t.write(key, store.Op{Kind: store.OpTopKInsert, K: k, Entry: store.TopKEntry{
-		Order: order, CoreID: int32(t.w), Data: data,
-	}})
 }
 
 // commit applies the buffered writes under the held write locks and
@@ -344,5 +251,5 @@ func (t *Tx) commit() error {
 	return nil
 }
 
-var _ engine.Tx = (*Tx)(nil)
+var _ engine.Ops = (*Tx)(nil)
 var _ engine.Engine = (*Engine)(nil)
